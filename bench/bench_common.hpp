@@ -3,8 +3,9 @@
 
 // Shared harness pieces for the per-figure benches: the Fig. 4-style
 // runtime-breakdown sweep and small formatting helpers. Each bench
-// prints the same rows/series the paper reports; EXPERIMENTS.md records
-// the measured values next to the paper's.
+// prints the same rows/series the paper reports; the paper-fidelity
+// ledger (ROADMAP.md item 5) is to record the measured values next to the
+// paper's.
 
 #include <cstdlib>
 #include <iostream>

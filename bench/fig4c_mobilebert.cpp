@@ -2,7 +2,7 @@
 //
 // Paper's headline for this panel: 4.7x speedup at 4 chips from the
 // suppression of off-chip transfers to L3. Our platform model lands at
-// ~4x (see EXPERIMENTS.md for the gap analysis: the serialized MIPI
+// ~4x (gap analysis pending in ROADMAP.md item 5: the serialized MIPI
 // ingress of the 134-KiB partial-output payloads costs more here than in
 // the paper's measurement).
 #include <iostream>

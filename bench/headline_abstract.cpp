@@ -6,7 +6,8 @@
 //   * MobileBERT, 4 chips: 38.8 ms runtime, 4.7x speedup;
 //   * scaled-up model, 64 chips: 60.1x, 1.3x energy reduction.
 // Absolute values depend on the substituted platform model; the bands
-// checked here are the paper's qualitative claims (see EXPERIMENTS.md).
+// checked here are the paper's qualitative claims (see the paper-fidelity
+// ledger, ROADMAP.md item 5).
 //
 // --json <path> writes the rows machine-readably for CI artifacts.
 // Stable schema (doubles round-trip exact; consumers key on "schema"
@@ -87,7 +88,7 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   std::cout << "\noverall: " << (all ? "ALL BANDS PASS" : "SOME BANDS FAIL")
-            << "  (bands are documented in EXPERIMENTS.md; absolute values use "
+            << "  (bands are tracked in ROADMAP.md item 5; absolute values use "
                "the substituted analytic platform model)\n";
 
   if (!json_path.empty()) {

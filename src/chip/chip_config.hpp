@@ -32,7 +32,8 @@ struct TimingConfig {
   // kernels are load/store-bound (one weight load + pointer bookkeeping
   // per MAC bundle, L1 banking conflicts): the sustained rate is ~25% of
   // peak, calibrated so the three workloads land on the paper's reported
-  // speedup factors (see EXPERIMENTS.md "Calibration").
+  // speedup factors (calibration gaps are tracked by the paper-fidelity
+  // ledger, ROADMAP.md item 5).
   double macs_per_cycle_int8 = 1.0;
   double macs_per_cycle_int16 = 0.5;
   double macs_per_cycle_fp32 = 0.125;

@@ -1,20 +1,20 @@
 #include "noc/collectives.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace distmcu::noc {
 
-CollectiveTimer::CollectiveTimer(const Topology& topo, const LinkConfig& link,
+CollectiveTimer::CollectiveTimer(Topology topo, const LinkConfig& link,
                                  const chip::TimingConfig& timing)
-    : topo_(topo), link_(link), timing_(timing) {
-  in_ports_.reserve(static_cast<std::size_t>(topo.num_chips()));
-  out_ports_.reserve(static_cast<std::size_t>(topo.num_chips()));
-  for (int i = 0; i < topo.num_chips(); ++i) {
-    in_ports_.emplace_back("c2c_in[" + std::to_string(i) + "]",
-                           link.bandwidth_bytes_per_cycle, link.setup_cycles);
-    out_ports_.emplace_back("c2c_out[" + std::to_string(i) + "]",
-                            link.bandwidth_bytes_per_cycle, link.setup_cycles);
-  }
+    : topo_(std::move(topo)), link_(link), timing_(timing) {
+  // Every port shares the link's bandwidth and setup cost, so ports are
+  // named by direction only.
+  const auto n = static_cast<std::size_t>(topo_.num_chips());
+  in_ports_.assign(n, sim::Resource("c2c_in", link.bandwidth_bytes_per_cycle,
+                                    link.setup_cycles));
+  out_ports_.assign(n, sim::Resource("c2c_out", link.bandwidth_bytes_per_cycle,
+                                     link.setup_cycles));
 }
 
 CollectiveTiming CollectiveTimer::reduce(const std::vector<Cycles>& ready, Bytes bytes,
@@ -68,20 +68,25 @@ CollectiveTiming CollectiveTimer::broadcast(Cycles root_ready, Bytes bytes,
   out.chip_ready.assign(static_cast<std::size_t>(topo_.num_chips()), root_ready);
   out.accumulate_per_chip.assign(static_cast<std::size_t>(topo_.num_chips()), 0);
 
-  for (const auto& stage : topo_.broadcast_stages()) {
-    for (const auto& hop : stage) {
-      auto& src_out = out_ports_[static_cast<std::size_t>(hop.src)];
-      auto& dst_in = in_ports_[static_cast<std::size_t>(hop.dst)];
-      const Cycles src_ready = out.chip_ready[static_cast<std::size_t>(hop.src)];
+  // The mirrored schedule: reduce stages in reverse, each hop's ends
+  // swapped (Topology::broadcast_stages() without materializing it).
+  const auto& stages = topo_.reduce_stages();
+  for (auto stage = stages.rbegin(); stage != stages.rend(); ++stage) {
+    for (const auto& hop : *stage) {
+      const int from = hop.dst;
+      const int to = hop.src;
+      auto& src_out = out_ports_[static_cast<std::size_t>(from)];
+      auto& dst_in = in_ports_[static_cast<std::size_t>(to)];
+      const Cycles src_ready = out.chip_ready[static_cast<std::size_t>(from)];
       const Cycles start =
           std::max(src_out.earliest_start(src_ready), dst_in.earliest_start(src_ready));
       src_out.occupy(start, bytes);
       const Cycles arrived = dst_in.occupy(start, bytes);
-      out.chip_ready[static_cast<std::size_t>(hop.dst)] = arrived;
+      out.chip_ready[static_cast<std::size_t>(to)] = arrived;
       out.c2c_bytes += bytes;
       ++out.num_transfers;
       if (tracer != nullptr) {
-        tracer->record(hop.dst, sim::Category::chip_to_chip, start, arrived, bytes,
+        tracer->record(to, sim::Category::chip_to_chip, start, arrived, bytes,
                        "broadcast hop");
       }
     }

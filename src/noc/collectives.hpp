@@ -37,15 +37,18 @@ void reduce_numeric(const Topology& topo, std::vector<std::span<T>>& buffers) {
   }
 }
 
-/// Copy the root's buffer to every chip along the mirrored schedule.
+/// Copy the root's buffer to every chip along the mirrored schedule:
+/// the reduce stages walked in reverse with each hop's ends swapped
+/// (Topology::broadcast_stages() without materializing the copy).
 template <typename T>
 void broadcast_numeric(const Topology& topo, std::vector<std::span<T>>& buffers) {
   DISTMCU_CHECK(buffers.size() == static_cast<std::size_t>(topo.num_chips()),
               "broadcast_numeric: buffer count != chip count");
-  for (const auto& stage : topo.broadcast_stages()) {
-    for (const auto& hop : stage) {
-      auto& dst = buffers[static_cast<std::size_t>(hop.dst)];
-      const auto& src = buffers[static_cast<std::size_t>(hop.src)];
+  const auto& stages = topo.reduce_stages();
+  for (auto stage = stages.rbegin(); stage != stages.rend(); ++stage) {
+    for (const auto& hop : *stage) {
+      auto& dst = buffers[static_cast<std::size_t>(hop.src)];
+      const auto& src = buffers[static_cast<std::size_t>(hop.dst)];
       DISTMCU_CHECK(dst.size() == src.size(), "broadcast_numeric: buffer size mismatch");
       for (std::size_t i = 0; i < dst.size(); ++i) dst[i] = src[i];
     }
@@ -90,8 +93,7 @@ struct CollectiveTiming {
 /// collectives on the same links contend realistically.
 class CollectiveTimer {
  public:
-  CollectiveTimer(const Topology& topo, const LinkConfig& link,
-                  const chip::TimingConfig& timing);
+  CollectiveTimer(Topology topo, const LinkConfig& link, const chip::TimingConfig& timing);
 
   /// Time a reduce of `bytes` per partial buffer. `ready[i]` is the cycle
   /// chip i's partial output becomes available. Optionally traces

@@ -53,6 +53,8 @@ class Topology {
   [[nodiscard]] int root() const { return 0; }
 
   [[nodiscard]] const std::vector<Stage>& reduce_stages() const { return reduce_stages_; }
+  /// The mirrored schedule as a copy. The collectives walk
+  /// reduce_stages() in reverse instead; tests compare against this.
   [[nodiscard]] std::vector<Stage> broadcast_stages() const;
 
   /// Total number of point-to-point hops in one reduce (== one

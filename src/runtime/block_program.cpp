@@ -4,6 +4,12 @@
 
 namespace distmcu::runtime {
 
+std::string KernelOp::name() const {
+  std::string out(label);
+  if (head >= 0) out += "_h" + std::to_string(head);
+  return out;
+}
+
 Bytes BlockProgram::chip_weight_bytes(int chip) const {
   Bytes sum = 0;
   for (const auto& op : mhsa_phase[static_cast<std::size_t>(chip)]) sum += op.weight_bytes;
@@ -60,6 +66,8 @@ BlockProgram build_block_program(const partition::PartitionPlan& plan,
     const auto fw = static_cast<std::int64_t>(slice.f_width());
     auto& mhsa = prog.mhsa_phase[static_cast<std::size_t>(c)];
     auto& ffn = prog.ffn_phase[static_cast<std::size_t>(c)];
+    mhsa.reserve(static_cast<std::size_t>(6 + 3 * slice.num_heads()));
+    ffn.reserve(5);
 
     // --- MHSA: projections for the owned heads ------------------------
     const Bytes proj_w = static_cast<Bytes>(e * pw) * wb;
@@ -75,11 +83,10 @@ BlockProgram build_block_program(const partition::PartitionPlan& plan,
     // is the source of the sub-linear kernel scaling the paper reports
     // when slices shrink.
     const Bytes head_kv = static_cast<Bytes>(t * p) * kvb;
-    for (int h = 0; h < slice.num_heads(); ++h) {
-      const std::string hs = "h" + std::to_string(slice.head_begin + h);
-      mhsa.push_back({OpKind::gemm, s, t, p, 0, head_kv, "scores_" + hs});
-      mhsa.push_back({OpKind::softmax, s, t, 1, 0, 0, "softmax_" + hs});
-      mhsa.push_back({OpKind::gemm, s, p, t, 0, head_kv, "context_" + hs});
+    for (int h = slice.head_begin; h < slice.head_end; ++h) {
+      mhsa.push_back({OpKind::gemm, s, t, p, 0, head_kv, "scores", h});
+      mhsa.push_back({OpKind::softmax, s, t, 1, 0, 0, "softmax", h});
+      mhsa.push_back({OpKind::gemm, s, p, t, 0, head_kv, "context", h});
     }
     // --- output projection: the chip's rows of WO ----------------------
     mhsa.push_back(
@@ -99,10 +106,10 @@ BlockProgram build_block_program(const partition::PartitionPlan& plan,
   // --- root work between reduce and broadcast -------------------------
   // Skip-connection merge (folded into the reduction) plus the
   // normalization the paper performs on a single chip.
-  prog.root_mid.push_back({OpKind::elementwise, 1, s * e, 1, 0, 0, "skip_add_1"});
-  prog.root_mid.push_back({OpKind::norm, s, e, 1, 0, 0, "norm_1"});
-  prog.root_end.push_back({OpKind::elementwise, 1, s * e, 1, 0, 0, "skip_add_2"});
-  prog.root_end.push_back({OpKind::norm, s, e, 1, 0, 0, "norm_2"});
+  prog.root_mid = {{OpKind::elementwise, 1, s * e, 1, 0, 0, "skip_add_1"},
+                   {OpKind::norm, s, e, 1, 0, 0, "norm_1"}};
+  prog.root_end = {{OpKind::elementwise, 1, s * e, 1, 0, 0, "skip_add_2"},
+                   {OpKind::norm, s, e, 1, 0, 0, "norm_2"}};
 
   // Cross-check against the planner's shard accounting.
   for (int c = 0; c < plan.num_chips(); ++c) {

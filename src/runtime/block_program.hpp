@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "model/config.hpp"
@@ -25,6 +26,11 @@ enum class OpKind {
 /// One kernel launch with everything the timing model needs: logical
 /// dimensions, the stationary-operand bytes that stream L2->L1 (and
 /// L3->L2 in the streamed regime), and the KV-cache bytes read.
+///
+/// `label` names a static kernel ("q_proj", "scores"); per-head kernels
+/// also carry the global head index they serve. Lowering allocates no
+/// strings: name() formats the display name ("scores_h3") for traces and
+/// tables only.
 struct KernelOp {
   OpKind kind = OpKind::gemm;
   std::int64_t m = 1;
@@ -32,7 +38,17 @@ struct KernelOp {
   std::int64_t k = 1;
   Bytes weight_bytes = 0;
   Bytes kv_bytes = 0;
-  std::string label;
+  std::string_view label;
+  int head = -1;  // -1: not a per-head kernel
+
+  [[nodiscard]] std::string name() const;
+
+  /// Whether two ops cost the same on any chip: identical kind, shape
+  /// and streamed bytes. Labels and head indices do not enter the cost.
+  [[nodiscard]] bool same_cost_shape(const KernelOp& o) const {
+    return kind == o.kind && m == o.m && n == o.n && k == o.k &&
+           weight_bytes == o.weight_bytes && kv_bytes == o.kv_bytes;
+  }
 };
 
 /// The per-chip op lists of one Transformer block under the partition —

@@ -34,6 +34,18 @@ struct OpCost {
   Cycles active = 0;        // cluster-active cycles (energy T_comp)
   Bytes l1_bytes = 0;
   Bytes l3_bytes = 0;
+
+  /// Sum of a run of ops (every field is an integer, so sums are exact).
+  OpCost& operator+=(const OpCost& o) {
+    duration += o.duration;
+    l3_part += o.l3_part;
+    l2l1_part += o.l2l1_part;
+    compute_part += o.compute_part;
+    active += o.active;
+    l1_bytes += o.l1_bytes;
+    l3_bytes += o.l3_bytes;
+    return *this;
+  }
 };
 
 OpCost cost_op(const KernelOp& op, const chip::KernelTiming& timing,
@@ -100,6 +112,20 @@ OpCost cost_op(const KernelOp& op, const chip::KernelTiming& timing,
   return out;
 }
 
+bool same_cost_shape(const std::vector<KernelOp>& a, const std::vector<KernelOp>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const KernelOp& x, const KernelOp& y) { return x.same_cost_shape(y); });
+}
+
+/// One distinct per-chip op list of a phase, priced once: the cost of
+/// each op (replayed for trace spans) and their sum (the chip totals).
+/// Chips of an even split share one list; an uneven split has two.
+struct PricedList {
+  const std::vector<KernelOp>* ops = nullptr;
+  std::vector<OpCost> costs;
+  OpCost sum;
+};
+
 struct PhaseResult {
   std::vector<Cycles> end;
   std::vector<Breakdown> contrib;
@@ -120,11 +146,12 @@ RunReport TimedBlockSimulation::run(const partition::PartitionPlan& plan,
   const BlockProgram prog =
       build_block_program(plan, sys_.precision, mode, attention_span_override);
   const int n = plan.num_chips();
-  const noc::Topology topo = sys_.flat_topology
-                                 ? noc::Topology::flat(n)
-                                 : noc::Topology::hierarchical(n, sys_.group_size);
   const chip::KernelTiming timing(sys_.chip.timing);
-  noc::CollectiveTimer ctimer(topo, sys_.link, sys_.chip.timing);
+  noc::CollectiveTimer ctimer(sys_.flat_topology
+                                  ? noc::Topology::flat(n)
+                                  : noc::Topology::hierarchical(n, sys_.group_size),
+                              sys_.link, sys_.chip.timing);
+  const noc::Topology& topo = ctimer.topology();
 
   RunReport rep;
   rep.num_chips = n;
@@ -137,29 +164,45 @@ RunReport TimedBlockSimulation::run(const partition::PartitionPlan& plan,
     PhaseResult res;
     res.end.resize(static_cast<std::size_t>(n));
     res.contrib.resize(static_cast<std::size_t>(n));
+    std::vector<PricedList> priced;
     for (int c = 0; c < n; ++c) {
-      Cycles t = start[static_cast<std::size_t>(c)];
-      Breakdown bd;
-      for (const KernelOp& op : per_chip[static_cast<std::size_t>(c)]) {
-        const OpCost oc = cost_op(op, timing, sys_.chip, sys_.precision, streamed);
-        if (tracer != nullptr) {
+      const std::vector<KernelOp>& ops = per_chip[static_cast<std::size_t>(c)];
+      auto list = std::find_if(priced.begin(), priced.end(), [&](const PricedList& p) {
+        return same_cost_shape(*p.ops, ops);
+      });
+      if (list == priced.end()) {
+        PricedList& fresh = priced.emplace_back();
+        fresh.ops = &ops;
+        fresh.costs.reserve(ops.size());
+        for (const KernelOp& op : ops) {
+          fresh.sum += fresh.costs.emplace_back(
+              cost_op(op, timing, sys_.chip, sys_.precision, streamed));
+        }
+        list = priced.end() - 1;
+      }
+      const Cycles t0 = start[static_cast<std::size_t>(c)];
+      if (tracer != nullptr) {
+        Cycles t = t0;
+        for (std::size_t i = 0; i < ops.size(); ++i) {
+          const OpCost& oc = list->costs[i];
+          const std::string name = ops[i].name();
           if (oc.l3_part > 0) {
             tracer->record(c, sim::Category::dma_l3_l2, t, t + oc.l3_part, oc.l3_bytes,
-                           op.label + ":l3");
+                           name + ":l3");
           }
-          tracer->record(c, sim::Category::compute, t + oc.l3_part, t + oc.duration,
-                         0, op.label);
+          tracer->record(c, sim::Category::compute, t + oc.l3_part, t + oc.duration, 0,
+                         name);
+          t += oc.duration;
         }
-        rep.traffic.l2_l1 += oc.l1_bytes;
-        rep.traffic.l3_l2 += oc.l3_bytes;
-        rep.t_comp[static_cast<std::size_t>(c)] += oc.active;
-        bd.compute += oc.compute_part;
-        bd.dma_l3_l2 += oc.l3_part;
-        bd.dma_l2_l1 += oc.l2l1_part;
-        t += oc.duration;
       }
-      res.end[static_cast<std::size_t>(c)] = t;
-      res.contrib[static_cast<std::size_t>(c)] = bd;
+      const OpCost& sum = list->sum;
+      rep.traffic.l2_l1 += sum.l1_bytes;
+      rep.traffic.l3_l2 += sum.l3_bytes;
+      rep.t_comp[static_cast<std::size_t>(c)] += sum.active;
+      res.end[static_cast<std::size_t>(c)] = t0 + sum.duration;
+      res.contrib[static_cast<std::size_t>(c)] = {.compute = sum.compute_part,
+                                                  .dma_l3_l2 = sum.l3_part,
+                                                  .dma_l2_l1 = sum.l2l1_part};
     }
     return res;
   };
@@ -172,7 +215,7 @@ RunReport TimedBlockSimulation::run(const partition::PartitionPlan& plan,
       rep.t_comp[static_cast<std::size_t>(topo.root())] += oc.active;
       if (tracer != nullptr) {
         tracer->record(topo.root(), sim::Category::compute, t, t + oc.duration, 0,
-                       op.label);
+                       op.name());
       }
       t += oc.duration;
     }

@@ -77,8 +77,10 @@ struct RunReport {
 /// Replays a BlockProgram against the platform model: kernel-cycle costs
 /// from chip::KernelTiming, synchronous L3 tile fetches in the streamed
 /// regime, L2->L1 tile DMA overlapped with compute, and the hierarchical
-/// collectives with port contention. Optionally records spans into a
-/// tracer for timeline inspection.
+/// collectives with port contention. Chips whose op lists share a cost
+/// shape are priced once per phase. Optionally records spans into a
+/// tracer for timeline inspection; traced and untraced runs share the
+/// same priced ops and return the same report.
 class TimedBlockSimulation {
  public:
   explicit TimedBlockSimulation(SystemConfig sys);

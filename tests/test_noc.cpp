@@ -176,6 +176,24 @@ TEST(CollectiveTimer, BroadcastReachesAllChips) {
   EXPECT_EQ(b.accumulate_compute, 0u);
 }
 
+TEST(CollectiveTimer, BroadcastFollowsTheMirroredSchedule) {
+  // The timer walks the reduce stages in reverse instead of copying
+  // broadcast_stages(); its hops must still come out in mirror order.
+  for (const Topology& topo : {Topology::hierarchical(11, 3), Topology::hierarchical(64, 4),
+                               Topology::hierarchical(9, 2), Topology::flat(5)}) {
+    CollectiveTimer timer(topo, test_link(), chip::ChipConfig::siracusa().timing);
+    sim::Tracer tracer;
+    (void)timer.broadcast(0, 64, &tracer);
+    std::vector<int> mirrored;
+    for (const auto& stage : topo.broadcast_stages()) {
+      for (const auto& hop : stage) mirrored.push_back(hop.dst);
+    }
+    std::vector<int> traced;
+    for (const auto& span : tracer.spans()) traced.push_back(span.chip);
+    EXPECT_EQ(traced, mirrored) << topo.num_chips() << " chips";
+  }
+}
+
 TEST(CollectiveTimer, HierarchicalBeatsFlatForManyChips) {
   // The motivation for groups of four (paper Sec. IV): an all-to-one
   // reduce serializes N-1 transfers on the root ingress, the hierarchy

@@ -145,6 +145,11 @@ struct ResidencyCase {
   Residency expected;
 };
 
+// Without a printer GoogleTest dumps the struct's raw bytes, which include
+// the label pointer, so the discovered test name would change from run to
+// run under address-space randomisation.
+void PrintTo(const ResidencyCase& tc, std::ostream* os) { *os << tc.label; }
+
 class ResidencyTest : public ::testing::TestWithParam<ResidencyCase> {};
 
 TEST_P(ResidencyTest, MatchesPaperCrossover) {

@@ -3,6 +3,9 @@
 // functional executor, and the energy model identity.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "energy/energy_model.hpp"
 #include "model/config.hpp"
 #include "model/weights.hpp"
@@ -79,6 +82,26 @@ TEST(BlockProgram, PerHeadAttentionKernels) {
   const auto plan8 = PartitionPlan::create(cfg, 8);
   const auto prog8 = runtime::build_block_program(plan8, PrecisionConfig{}, Mode::prompt);
   EXPECT_EQ(prog8.chip_num_ops(0), 12u);
+}
+
+TEST(BlockProgram, KernelNamesCarryTheGlobalHeadIndex) {
+  const auto cfg = TransformerConfig::tiny_llama_42m();
+  // 3 chips: heads [0,3), [3,6), [6,8).
+  const auto plan = PartitionPlan::create(cfg, 3);
+  const auto prog = runtime::build_block_program(plan, PrecisionConfig{}, Mode::prompt);
+  std::vector<std::string> names;
+  for (const auto& op : prog.mhsa_phase[2]) names.push_back(op.name());
+  const std::vector<std::string> want = {
+      "q_proj", "k_proj", "v_proj", "rope_q", "rope_k", "scores_h6", "softmax_h6",
+      "context_h6", "scores_h7", "softmax_h7", "context_h7", "out_proj"};
+  EXPECT_EQ(names, want);
+  // Chips 0 and 1 own three heads each: same cost shape, different names.
+  const auto& a = prog.mhsa_phase[0];
+  const auto& b = prog.mhsa_phase[1];
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_TRUE(a[i].same_cost_shape(b[i]));
+  EXPECT_NE(a[5].name(), b[5].name());
+  EXPECT_FALSE(a.front().same_cost_shape(prog.mhsa_phase[2].front()));
 }
 
 TEST(BlockProgram, BertSkipsRope) {

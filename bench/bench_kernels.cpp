@@ -39,6 +39,31 @@ static void BM_GemmFloat(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmFloat)->Arg(64)->Arg(128)->Arg(256);
 
+// One per-chip shard GEMM at m = 1 (a decode row), 4 and 8 (stacked
+// decode rows or a prompt chunk): the shapes the stacked forward runs.
+static void BM_GemmShard(benchmark::State& state) {
+  const int m = static_cast<int>(state.range(0));
+  const int n = static_cast<int>(state.range(1));
+  const int k = static_cast<int>(state.range(2));
+  const auto a = random_vec(static_cast<std::size_t>(m * k), 1);
+  const auto b = random_vec(static_cast<std::size_t>(k * n), 2);
+  std::vector<float> c(static_cast<std::size_t>(m * n));
+  for (auto _ : state) {
+    kernels::gemm(a, b, c, m, n, k);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(m) * n * k);
+}
+BENCHMARK(BM_GemmShard)->Apply([](benchmark::internal::Benchmark* b) {
+  // {n, k}: TinyLlama-42M on 8 chips (Q/K/V, WO, W1, W2), then the
+  // fleet bench's E = 32 decoder on 4 chips.
+  const int shapes[][2] = {{64, 512}, {512, 64}, {256, 512}, {512, 256},
+                           {8, 32},   {32, 8},   {16, 32},   {32, 16}};
+  for (const auto& s : shapes) {
+    for (const int m : {1, 4, 8}) b->Args({m, s[0], s[1]});
+  }
+});
+
 static void BM_GemmInt8(benchmark::State& state) {
   const int d = static_cast<int>(state.range(0));
   std::vector<std::int8_t> a(static_cast<std::size_t>(d * d), 3);

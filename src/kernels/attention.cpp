@@ -10,20 +10,20 @@
 
 namespace distmcu::kernels {
 
-void attention_head(std::span<const float> q, std::span<const float> k,
-                    std::span<const float> v, std::span<float> out, int s_q,
-                    int s_kv, int p, bool causal, int pos_offset) {
+void attention_head(ConstView q, ConstView k, ConstView v, View out, bool causal,
+                    int pos_offset, std::span<float> scores) {
+  const int s_q = q.rows;
+  const int s_kv = k.rows;
+  const int p = q.cols;
   DISTMCU_CHECK(s_q > 0 && s_kv > 0 && p > 0, "attention: dimensions must be positive");
-  DISTMCU_CHECK(q.size() == static_cast<std::size_t>(s_q) * static_cast<std::size_t>(p),
-              "attention: Q size mismatch");
-  DISTMCU_CHECK(k.size() == static_cast<std::size_t>(s_kv) * static_cast<std::size_t>(p),
-              "attention: K size mismatch");
-  DISTMCU_CHECK(v.size() == k.size(), "attention: V size mismatch");
-  DISTMCU_CHECK(out.size() == q.size(), "attention: out size mismatch");
+  DISTMCU_CHECK(k.cols == p && v.cols == p && v.rows == s_kv,
+                "attention: K/V shape mismatch");
+  DISTMCU_CHECK(out.rows == s_q && out.cols == p, "attention: out shape mismatch");
+  const std::size_t n_scores = static_cast<std::size_t>(s_q) * static_cast<std::size_t>(s_kv);
+  DISTMCU_CHECK(scores.size() >= n_scores, "attention: score scratch too small");
+  scores = scores.first(n_scores);
 
-  std::vector<float> scores(static_cast<std::size_t>(s_q) * static_cast<std::size_t>(s_kv));
-  gemm_nt(q, k, scores, s_q, s_kv, p);
-
+  gemm_nt(q, k, View(scores, s_q, s_kv));
   const float scale = 1.0f / std::sqrt(static_cast<float>(p));
   for (float& s : scores) s *= scale;
 
@@ -35,7 +35,22 @@ void attention_head(std::span<const float> q, std::span<const float> k,
     }
   }
   softmax_rows(scores, s_q, s_kv);
-  gemm(scores, v, out, s_q, p, s_kv);
+  gemm(ConstView(scores, s_q, s_kv), v, out);
+}
+
+void attention_head(std::span<const float> q, std::span<const float> k,
+                    std::span<const float> v, std::span<float> out, int s_q,
+                    int s_kv, int p, bool causal, int pos_offset) {
+  DISTMCU_CHECK(s_q > 0 && s_kv > 0 && p > 0, "attention: dimensions must be positive");
+  DISTMCU_CHECK(q.size() == static_cast<std::size_t>(s_q) * static_cast<std::size_t>(p),
+              "attention: Q size mismatch");
+  DISTMCU_CHECK(k.size() == static_cast<std::size_t>(s_kv) * static_cast<std::size_t>(p),
+              "attention: K size mismatch");
+  DISTMCU_CHECK(v.size() == k.size(), "attention: V size mismatch");
+  DISTMCU_CHECK(out.size() == q.size(), "attention: out size mismatch");
+  std::vector<float> scores(static_cast<std::size_t>(s_q) * static_cast<std::size_t>(s_kv));
+  attention_head(ConstView(q, s_q, p), ConstView(k, s_kv, p), ConstView(v, s_kv, p),
+                 View(out, s_q, p), causal, pos_offset, scores);
 }
 
 void attention_head_ar(std::span<const float> q, std::span<const float> k,

@@ -1,55 +1,158 @@
 #include "kernels/gemm.hpp"
 
+#include <cstddef>
+#include <type_traits>
+
 #include "util/check.hpp"
 
 namespace distmcu::kernels {
 
 namespace {
-void check_sizes(std::span<const float> a, std::span<const float> b,
-                 std::span<float> c, int m, int n, int k, std::size_t b_expected) {
-  DISTMCU_CHECK(m > 0 && n > 0 && k > 0, "gemm: dimensions must be positive");
-  DISTMCU_CHECK(a.size() == static_cast<std::size_t>(m) * static_cast<std::size_t>(k),
-              "gemm: A size mismatch");
-  DISTMCU_CHECK(b.size() == b_expected, "gemm: B size mismatch");
-  DISTMCU_CHECK(c.size() == static_cast<std::size_t>(m) * static_cast<std::size_t>(n),
-              "gemm: C size mismatch");
-}
-}  // namespace
 
-void gemm(std::span<const float> a, std::span<const float> b, std::span<float> c,
-          int m, int n, int k, std::span<const float> bias) {
-  check_sizes(a, b, c, m, n, k,
-              static_cast<std::size_t>(k) * static_cast<std::size_t>(n));
-  DISTMCU_CHECK(bias.empty() || bias.size() == static_cast<std::size_t>(n),
-              "gemm: bias size mismatch");
-  for (int i = 0; i < m; ++i) {
-    float* crow = c.data() + static_cast<std::size_t>(i) * n;
-    for (int j = 0; j < n; ++j) crow[j] = bias.empty() ? 0.0f : bias[static_cast<std::size_t>(j)];
-    const float* arow = a.data() + static_cast<std::size_t>(i) * k;
-    // k-outer loop keeps B accesses sequential (row-major [K,N]).
-    for (int p = 0; p < k; ++p) {
+// Register blocking of gemm: R rows x NB columns of accumulators stay in
+// the 16 SSE registers of baseline x86-64 next to one B segment — 4 x 8
+// and 3 x 8 per row block, 2 x 16 and 1 x 16 (a single decode row) for
+// the rows left over. It wins where B rows are short (N <= 128: every
+// fleet shard and the per-chip Q/K/V projections); on wider B the
+// row-at-a-time loop streams as well, so it stays the only path there.
+constexpr int kRowBlock = 4;
+constexpr int kMaxTiledCols = 128;
+// gemm_nt keeps 8 independent dot products in flight per A row once
+// they are long enough to pay for it (the 512-deep LM head: ~1.8x).
+constexpr int kNtBlock = 8;
+constexpr int kNtMinDepth = 64;
+
+void check_dims(int m, int n, int k) {
+  DISTMCU_CHECK(m > 0 && n > 0 && k > 0, "gemm: dimensions must be positive");
+}
+
+/// The row-at-a-time loop over columns [j0, j1) of rows [i0, i1):
+/// k-outer keeps B accesses sequential.
+void gemm_rows(ConstView a, ConstView b, View c, const float* bias, int i0, int i1,
+               int j0, int j1) {
+  for (int i = i0; i < i1; ++i) {
+    float* crow = c.row(i);
+    for (int j = j0; j < j1; ++j) crow[j] = bias == nullptr ? 0.0f : bias[j];
+    const float* arow = a.row(i);
+    for (int p = 0; p < a.cols; ++p) {
       const float av = arow[p];
       if (av == 0.0f) continue;
-      const float* brow = b.data() + static_cast<std::size_t>(p) * n;
-      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
+      const float* brow = b.row(p);
+      for (int j = j0; j < j1; ++j) crow[j] += av * brow[j];
     }
   }
 }
 
-void gemm_nt(std::span<const float> a, std::span<const float> b, std::span<float> c,
-             int m, int n, int k) {
-  check_sizes(a, b, c, m, n, k,
-              static_cast<std::size_t>(n) * static_cast<std::size_t>(k));
-  for (int i = 0; i < m; ++i) {
-    const float* arow = a.data() + static_cast<std::size_t>(i) * k;
-    float* crow = c.data() + static_cast<std::size_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      const float* brow = b.data() + static_cast<std::size_t>(j) * k;
+/// Rows [i, i + R) x columns [j, j + NB), accumulated in registers with
+/// the same per-element order and zero skip as gemm_rows. Raw pointers
+/// and strides, not views, so GCC keeps `acc` out of memory.
+template <int R, int NB>
+void gemm_tile(const float* a, std::ptrdiff_t lda, const float* b, std::ptrdiff_t ldb,
+               float* c, std::ptrdiff_t ldc, int k, const float* bias) {
+  float acc[R][NB];
+  for (int r = 0; r < R; ++r) {
+    for (int t = 0; t < NB; ++t) acc[r][t] = bias == nullptr ? 0.0f : bias[t];
+  }
+  for (int p = 0; p < k; ++p) {
+    float bv[NB];
+    for (int t = 0; t < NB; ++t) bv[t] = b[p * ldb + t];
+    for (int r = 0; r < R; ++r) {
+      const float av = a[r * lda + p];
+      if (av == 0.0f) continue;
+      for (int t = 0; t < NB; ++t) acc[r][t] += av * bv[t];
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    for (int t = 0; t < NB; ++t) c[r * ldc + t] = acc[r][t];
+  }
+}
+
+/// All columns of rows [i, i + R): tiles of NB, then one of 8 when NB is
+/// wider and 8 still fit, then the row loop for the last columns.
+template <int R, int NB>
+void gemm_row_block(ConstView a, ConstView b, View c, const float* bias, int i) {
+  const int n = c.cols;
+  const auto tile = [&](auto width, int j) {
+    gemm_tile<R, decltype(width)::value>(a.row(i), a.ld, b.data + j, b.ld, c.row(i) + j,
+                                         c.ld, a.cols, bias == nullptr ? nullptr : bias + j);
+  };
+  int j = 0;
+  for (; j + NB <= n; j += NB) tile(std::integral_constant<int, NB>{}, j);
+  if constexpr (NB > 8) {
+    if (j + 8 <= n) {
+      tile(std::integral_constant<int, 8>{}, j);
+      j += 8;
+    }
+  }
+  if (j < n) gemm_rows(a, b, c, bias, i, i + R, j, n);
+}
+
+/// kNtBlock dot products of `a` with consecutive rows of `b`, each in
+/// ascending p, kept in flight together.
+void gemm_nt_block(const float* a, const float* b, std::ptrdiff_t ldb, float* c, int k) {
+  float acc[kNtBlock] = {};
+  for (int p = 0; p < k; ++p) {
+    const float av = a[p];
+    for (int t = 0; t < kNtBlock; ++t) acc[t] += av * b[t * ldb + p];
+  }
+  for (int t = 0; t < kNtBlock; ++t) c[t] = acc[t];
+}
+
+}  // namespace
+
+void gemm(ConstView a, ConstView b, View c, std::span<const float> bias) {
+  const int m = a.rows;
+  const int n = b.cols;
+  check_dims(m, n, a.cols);
+  DISTMCU_CHECK(b.rows == a.cols && c.rows == m && c.cols == n,
+                "gemm: view shape mismatch");
+  DISTMCU_CHECK(bias.empty() || bias.size() == static_cast<std::size_t>(n),
+                "gemm: bias size mismatch");
+  const float* bz = bias.empty() ? nullptr : bias.data();
+  if (n < 8 || n > kMaxTiledCols) {
+    gemm_rows(a, b, c, bz, 0, m, 0, n);
+    return;
+  }
+  int i = 0;
+  for (; i + kRowBlock <= m; i += kRowBlock) gemm_row_block<kRowBlock, 8>(a, b, c, bz, i);
+  switch (m - i) {
+    case 3: gemm_row_block<3, 8>(a, b, c, bz, i); break;
+    case 2: gemm_row_block<2, 16>(a, b, c, bz, i); break;
+    case 1: gemm_row_block<1, 16>(a, b, c, bz, i); break;
+    default: break;
+  }
+}
+
+void gemm_nt(ConstView a, ConstView b, View c) {
+  const int k = a.cols;
+  check_dims(a.rows, b.rows, k);
+  DISTMCU_CHECK(b.cols == k && c.rows == a.rows && c.cols == b.rows,
+                "gemm_nt: view shape mismatch");
+  const int n = b.rows;
+  const int blocked = k >= kNtMinDepth ? n - n % kNtBlock : 0;
+  for (int i = 0; i < a.rows; ++i) {
+    const float* arow = a.row(i);
+    float* crow = c.row(i);
+    for (int j = 0; j < blocked; j += kNtBlock) gemm_nt_block(arow, b.row(j), b.ld, crow + j, k);
+    for (int j = blocked; j < n; ++j) {
+      const float* brow = b.row(j);
       float acc = 0.0f;
       for (int p = 0; p < k; ++p) acc += arow[p] * brow[p];
       crow[j] = acc;
     }
   }
+}
+
+void gemm(std::span<const float> a, std::span<const float> b, std::span<float> c,
+          int m, int n, int k, std::span<const float> bias) {
+  check_dims(m, n, k);
+  gemm(ConstView(a, m, k), ConstView(b, k, n), View(c, m, n), bias);
+}
+
+void gemm_nt(std::span<const float> a, std::span<const float> b, std::span<float> c,
+             int m, int n, int k) {
+  check_dims(m, n, k);
+  gemm_nt(ConstView(a, m, k), ConstView(b, n, k), View(c, m, n));
 }
 
 void gemv(std::span<const float> x, std::span<const float> b, std::span<float> out,

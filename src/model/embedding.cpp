@@ -1,5 +1,6 @@
 #include "model/embedding.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "kernels/gemm.hpp"
@@ -17,14 +18,20 @@ Embedding::Embedding(const TransformerConfig& cfg, std::uint64_t seed)
 Tensor Embedding::lookup(const std::vector<int>& ids) const {
   DISTMCU_CHECK(!ids.empty(), "Embedding::lookup: empty id list");
   Tensor out(static_cast<int>(ids.size()), table_.cols());
+  lookup(ids, out.span());
+  return out;
+}
+
+void Embedding::lookup(std::span<const int> ids, std::span<float> out) const {
+  DISTMCU_CHECK(!ids.empty(), "Embedding::lookup: empty id list");
+  const auto e = static_cast<std::size_t>(table_.cols());
+  DISTMCU_CHECK(out.size() == ids.size() * e, "Embedding::lookup: output size mismatch");
   for (std::size_t i = 0; i < ids.size(); ++i) {
     DISTMCU_CHECK(ids[i] >= 0 && ids[i] < table_.rows(),
                 "Embedding::lookup: id out of vocabulary");
     const auto src = table_.row(ids[i]);
-    auto dst = out.row(static_cast<int>(i));
-    std::copy(src.begin(), src.end(), dst.begin());
+    std::copy(src.begin(), src.end(), out.begin() + static_cast<std::ptrdiff_t>(i * e));
   }
-  return out;
 }
 
 Tensor Embedding::logits(const Tensor& x) const {
@@ -36,16 +43,34 @@ Tensor Embedding::logits(const Tensor& x) const {
 }
 
 int Embedding::greedy_next(const Tensor& x) const {
-  const Tensor lg = logits(x.slice_rows(x.rows() - 1, x.rows()));
-  int best = 0;
-  float best_v = lg.at(0, 0);
-  for (int v = 1; v < lg.cols(); ++v) {
-    if (lg.at(0, v) > best_v) {
-      best_v = lg.at(0, v);
-      best = v;
+  std::vector<float> logits;
+  int next = 0;
+  greedy_rows(x.view().row_range(x.rows() - 1, x.rows()), logits, {&next, 1});
+  return next;
+}
+
+void Embedding::greedy_rows(kernels::ConstView x, std::vector<float>& logits,
+                            std::span<int> out) const {
+  DISTMCU_CHECK(x.cols == table_.cols(), "Embedding::greedy_rows: width mismatch");
+  DISTMCU_CHECK(out.size() == static_cast<std::size_t>(x.rows),
+                "Embedding::greedy_rows: one token per row");
+  const int vocab = table_.rows();
+  const std::size_t n = static_cast<std::size_t>(x.rows) * static_cast<std::size_t>(vocab);
+  if (logits.size() < n) logits.resize(n);
+  const kernels::View lg(logits.data(), x.rows, vocab, vocab);
+  kernels::gemm_nt(x, table_.view(), lg);
+  for (int r = 0; r < x.rows; ++r) {
+    const float* row = lg.row(r);
+    int best = 0;
+    float best_v = row[0];
+    for (int v = 1; v < vocab; ++v) {
+      if (row[v] > best_v) {
+        best_v = row[v];
+        best = v;
+      }
     }
+    out[static_cast<std::size_t>(r)] = best;
   }
-  return best;
 }
 
 }  // namespace distmcu::model

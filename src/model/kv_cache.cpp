@@ -32,14 +32,16 @@ std::span<const float> KvCache::v() const {
                                         static_cast<std::size_t>(dim_));
 }
 
-Tensor KvCache::k_slice(int c0, int c1) const {
-  DISTMCU_CHECK(length_ > 0, "KvCache::k_slice: cache is empty");
-  return k_store_.slice_rows(0, length_).slice_cols(c0, c1);
+kernels::ConstView KvCache::k_view(int c0, int c1) const {
+  DISTMCU_CHECK(length_ > 0, "KvCache::k_view: cache is empty");
+  DISTMCU_CHECK(0 <= c0 && c0 < c1 && c1 <= dim_, "KvCache::k_view: bad range");
+  return k_store_.view().row_range(0, length_).col_range(c0, c1);
 }
 
-Tensor KvCache::v_slice(int c0, int c1) const {
-  DISTMCU_CHECK(length_ > 0, "KvCache::v_slice: cache is empty");
-  return v_store_.slice_rows(0, length_).slice_cols(c0, c1);
+kernels::ConstView KvCache::v_view(int c0, int c1) const {
+  DISTMCU_CHECK(length_ > 0, "KvCache::v_view: cache is empty");
+  DISTMCU_CHECK(0 <= c0 && c0 < c1 && c1 <= dim_, "KvCache::v_view: bad range");
+  return v_store_.view().row_range(0, length_).col_range(c0, c1);
 }
 
 void KvCache::copy_state_from(const KvCache& src) {

@@ -43,10 +43,10 @@ class KvCache {
   [[nodiscard]] std::span<const float> k() const;
   [[nodiscard]] std::span<const float> v() const;
 
-  /// Column-slice copies for one head (or head range) of the filled
-  /// prefix: [length, c1-c0].
-  [[nodiscard]] Tensor k_slice(int c0, int c1) const;
-  [[nodiscard]] Tensor v_slice(int c0, int c1) const;
+  /// Strided [length, c1-c0] views of columns [c0, c1) of the filled
+  /// prefix — one head (or head range) without copying.
+  [[nodiscard]] kernels::ConstView k_view(int c0, int c1) const;
+  [[nodiscard]] kernels::ConstView v_view(int c0, int c1) const;
 
   void reset() { length_ = 0; }
 

@@ -84,18 +84,18 @@ Tensor ReferenceModel::mhsa(const Tensor& x, int layer, std::vector<KvCache>* ca
   const bool causal = cfg_.mask == MaskKind::causal;
   for (int h = 0; h < cfg_.num_heads; ++h) {
     const Tensor qh = q.slice_cols(h * p, (h + 1) * p);
-    Tensor kh, vh;
+    kernels::ConstView kh, vh;
     if (caches != nullptr) {
       const auto& cache = (*caches)[static_cast<std::size_t>(layer)];
-      kh = cache.k_slice(h * p, (h + 1) * p);
-      vh = cache.v_slice(h * p, (h + 1) * p);
+      kh = cache.k_view(h * p, (h + 1) * p);
+      vh = cache.v_view(h * p, (h + 1) * p);
     } else {
-      kh = k.slice_cols(h * p, (h + 1) * p);
-      vh = v.slice_cols(h * p, (h + 1) * p);
+      kh = k.view().col_range(h * p, (h + 1) * p);
+      vh = v.view().col_range(h * p, (h + 1) * p);
     }
     Tensor oh(s, p);
-    kernels::attention_head(qh.span(), kh.span(), vh.span(), oh.span(), s, kh.rows(),
-                            p, causal, pos_offset);
+    std::vector<float> scores(static_cast<std::size_t>(s) * static_cast<std::size_t>(kh.rows));
+    kernels::attention_head(qh.view(), kh, vh, oh.view(), causal, pos_offset, scores);
     for (int r = 0; r < s; ++r) {
       for (int c = 0; c < p; ++c) ctx.at(r, h * p + c) = oh.at(r, c);
     }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "util/check.hpp"
 
@@ -60,7 +62,13 @@ float Tensor::max_abs_diff(const Tensor& a, const Tensor& b) {
               "max_abs_diff: shape mismatch");
   float mx = 0.0f;
   for (std::size_t i = 0; i < a.data_.size(); ++i) {
-    mx = std::max(mx, std::fabs(a.data_[i] - b.data_[i]));
+    const float x = a.data_[i];
+    const float y = b.data_[i];
+    if (!std::isfinite(x) || !std::isfinite(y)) {
+      if (std::memcmp(&x, &y, sizeof x) != 0) return std::numeric_limits<float>::infinity();
+      continue;
+    }
+    mx = std::max(mx, std::fabs(x - y));
   }
   return mx;
 }

@@ -4,6 +4,7 @@
 #include <span>
 #include <vector>
 
+#include "kernels/view.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -32,6 +33,12 @@ class Tensor {
   [[nodiscard]] std::span<float> row(int r);
   [[nodiscard]] std::span<const float> row(int r) const;
 
+  /// Strided views of the whole tensor (ld = cols).
+  [[nodiscard]] kernels::View view() { return {data_.data(), rows_, cols_, cols_}; }
+  [[nodiscard]] kernels::ConstView view() const {
+    return {data_.data(), rows_, cols_, cols_};
+  }
+
   void fill(float value);
 
   /// Deterministic init: uniform in [-scale, scale).
@@ -43,7 +50,9 @@ class Tensor {
   /// Copy of rows [r0, r1).
   [[nodiscard]] Tensor slice_rows(int r0, int r1) const;
 
-  /// max_i |a_i - b_i| over two same-shaped tensors.
+  /// max_i |a_i - b_i| over two same-shaped tensors; +inf when an
+  /// element is non-finite in either tensor and the two elements are not
+  /// bit-identical (a NaN never passes a tolerance check).
   [[nodiscard]] static float max_abs_diff(const Tensor& a, const Tensor& b);
 
  private:

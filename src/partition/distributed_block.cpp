@@ -1,5 +1,6 @@
 #include "partition/distributed_block.hpp"
 
+#include <algorithm>
 #include <span>
 
 #include "kernels/attention.hpp"
@@ -37,130 +38,151 @@ std::vector<std::vector<model::KvCache>> DistributedBlock::make_chip_caches(
   return caches;
 }
 
-model::Tensor DistributedBlock::root_norm(const model::Tensor& x,
-                                          const model::Tensor& gamma,
-                                          const model::Tensor& beta) const {
-  model::Tensor out(x.rows(), x.cols());
-  if (cfg_.norm == model::NormKind::rmsnorm) {
-    kernels::rmsnorm_rows(x.span(), gamma.span(), out.span(), x.rows(), x.cols(),
-                          cfg_.norm_eps);
-  } else {
-    kernels::layernorm_rows(x.span(), gamma.span(), beta.span(), out.span(), x.rows(),
-                            x.cols(), cfg_.norm_eps);
-  }
-  return out;
-}
-
-void DistributedBlock::apply_activation(model::Tensor& t) const {
-  switch (cfg_.act) {
-    case model::Activation::gelu: kernels::gelu(t.span()); break;
-    case model::Activation::silu: kernels::silu(t.span()); break;
-    case model::Activation::relu: kernels::relu(t.span()); break;
-  }
-}
-
-model::Tensor DistributedBlock::mhsa_partial(
-    const model::Tensor& x, int chip, int layer,
-    std::vector<std::vector<model::KvCache>>* caches, int pos_offset) const {
-  const WeightShard& w = shards_.shard(chip, layer);
-  const int s = x.rows();
+void DistributedBlock::root_norm(std::span<const float> x, const model::Tensor& gamma,
+                                 const model::Tensor& beta, std::span<float> out) const {
   const int e = cfg_.embed_dim;
+  const int rows = static_cast<int>(x.size()) / e;
+  if (cfg_.norm == model::NormKind::rmsnorm) {
+    kernels::rmsnorm_rows(x, gamma.span(), out, rows, e, cfg_.norm_eps);
+  } else {
+    kernels::layernorm_rows(x, gamma.span(), beta.span(), out, rows, e, cfg_.norm_eps);
+  }
+}
+
+void DistributedBlock::apply_activation(std::span<float> t) const {
+  switch (cfg_.act) {
+    case model::Activation::gelu: kernels::gelu(t); break;
+    case model::Activation::silu: kernels::silu(t); break;
+    case model::Activation::relu: kernels::relu(t); break;
+  }
+}
+
+std::span<const float> DistributedBlock::rope_table(ForwardWorkspace& ws,
+                                                   int positions) const {
+  const int p = cfg_.head_dim;
+  if (ws.rope_head_dim != p || ws.rope_base != cfg_.rope_base) {
+    ws.rope_positions = 0;
+    ws.rope_head_dim = p;
+    ws.rope_base = cfg_.rope_base;
+  }
+  if (ws.rope_positions < positions) {
+    const auto from = static_cast<std::size_t>(ws.rope_positions) * static_cast<std::size_t>(p);
+    ws.rope.resize(static_cast<std::size_t>(positions) * static_cast<std::size_t>(p));
+    kernels::rope_table(std::span<float>(ws.rope).subspan(from), ws.rope_positions,
+                        positions - ws.rope_positions, p, cfg_.rope_base);
+    ws.rope_positions = positions;
+  }
+  return ws.rope;
+}
+
+void DistributedBlock::mhsa_partial(ForwardWorkspace& ws, std::span<const float> x,
+                                    int chip, int layer, std::span<const RowGroup> groups,
+                                    std::span<float> partial) const {
+  const WeightShard& w = shards_.shard(chip, layer);
+  const int e = cfg_.embed_dim;
+  const int s = static_cast<int>(x.size()) / e;
   const int p = cfg_.head_dim;
   const int pw = plan_.proj_width(chip);
   const int local_heads = plan_.slice(chip).num_heads();
+  const auto sp = static_cast<std::size_t>(s) * static_cast<std::size_t>(pw);
 
-  model::Tensor q(s, pw), k(s, pw), v(s, pw);
-  kernels::gemm(x.span(), w.wq.span(), q.span(), s, pw, e);
-  kernels::gemm(x.span(), w.wk.span(), k.span(), s, pw, e);
-  kernels::gemm(x.span(), w.wv.span(), v.span(), s, pw, e);
+  const kernels::ConstView xv(x, s, e);
+  const kernels::View q(ForwardWorkspace::take(ws.q, sp), s, pw);
+  const kernels::View k(ForwardWorkspace::take(ws.k, sp), s, pw);
+  const kernels::View v(ForwardWorkspace::take(ws.v, sp), s, pw);
+  const kernels::View ctx(ForwardWorkspace::take(ws.ctx, sp), s, pw);
+  kernels::gemm(xv, w.wq.view(), q);
+  kernels::gemm(xv, w.wk.view(), k);
+  kernels::gemm(xv, w.wv.view(), v);
 
-  if (cfg_.pos == model::PosEmbed::rope) {
-    // RoPE depends only on the absolute position, never on the head
-    // index, so each chip rotates its own slice with no communication.
-    for (int h = 0; h < local_heads; ++h) {
-      model::Tensor qh = q.slice_cols(h * p, (h + 1) * p);
-      model::Tensor kh = k.slice_cols(h * p, (h + 1) * p);
-      kernels::rope_apply(qh.span(), s, p, pos_offset, cfg_.rope_base);
-      kernels::rope_apply(kh.span(), s, p, pos_offset, cfg_.rope_base);
-      for (int r = 0; r < s; ++r) {
-        for (int c = 0; c < p; ++c) {
-          q.at(r, h * p + c) = qh.at(r, c);
-          k.at(r, h * p + c) = kh.at(r, c);
-        }
+  const bool causal = cfg_.mask == model::MaskKind::causal;
+  int row0 = 0;
+  for (const RowGroup& g : groups) {
+    const int r1 = row0 + g.rows;
+    const kernels::View qg = q.row_range(row0, r1);
+    const kernels::View kg = k.row_range(row0, r1);
+    const kernels::View vg = v.row_range(row0, r1);
+    model::KvCache* cache =
+        g.caches == nullptr
+            ? nullptr
+            : &(*g.caches)[static_cast<std::size_t>(chip)][static_cast<std::size_t>(layer)];
+    if (cfg_.pos == model::PosEmbed::rope) {
+      // RoPE depends only on the absolute position, never on the head
+      // index, so each chip rotates its own slice with no communication.
+      // A cache bounds every position, so the table is built once for
+      // all of them.
+      const int positions = cache != nullptr ? cache->capacity() : g.pos_offset + g.rows;
+      const std::span<const float> angles =
+          rope_table(ws, std::max(positions, g.pos_offset + g.rows))
+              .subspan(static_cast<std::size_t>(g.pos_offset) * static_cast<std::size_t>(p),
+                       static_cast<std::size_t>(g.rows) * static_cast<std::size_t>(p));
+      for (int h = 0; h < local_heads; ++h) {
+        kernels::rope_apply(qg.col_range(h * p, (h + 1) * p), angles);
+        kernels::rope_apply(kg.col_range(h * p, (h + 1) * p), angles);
       }
     }
-  }
-
-  if (caches != nullptr) {
-    auto& cache = (*caches)[static_cast<std::size_t>(chip)][static_cast<std::size_t>(layer)];
-    for (int r = 0; r < s; ++r) cache.append(k.row(r), v.row(r));
-  }
-
-  model::Tensor ctx(s, pw);
-  const bool causal = cfg_.mask == model::MaskKind::causal;
-  for (int h = 0; h < local_heads; ++h) {
-    const model::Tensor qh = q.slice_cols(h * p, (h + 1) * p);
-    model::Tensor kh, vh;
-    if (caches != nullptr) {
-      const auto& cache =
-          (*caches)[static_cast<std::size_t>(chip)][static_cast<std::size_t>(layer)];
-      kh = cache.k_slice(h * p, (h + 1) * p);
-      vh = cache.v_slice(h * p, (h + 1) * p);
-    } else {
-      kh = k.slice_cols(h * p, (h + 1) * p);
-      vh = v.slice_cols(h * p, (h + 1) * p);
+    if (cache != nullptr) {
+      const auto width = static_cast<std::size_t>(pw);
+      for (int r = 0; r < g.rows; ++r) {
+        cache->append({kg.row(r), width}, {vg.row(r), width});
+      }
     }
-    model::Tensor oh(s, p);
-    kernels::attention_head(qh.span(), kh.span(), vh.span(), oh.span(), s, kh.rows(), p,
-                            causal, pos_offset);
-    for (int r = 0; r < s; ++r) {
-      for (int c = 0; c < p; ++c) ctx.at(r, h * p + c) = oh.at(r, c);
+    // Scores sized for the cache's capacity, not its current length, so
+    // the buffer stops growing once each group size has been seen.
+    const int kv_rows = cache != nullptr ? cache->capacity() : g.rows;
+    const std::span<float> scores = ForwardWorkspace::take(
+        ws.scores, static_cast<std::size_t>(g.rows) * static_cast<std::size_t>(kv_rows));
+    for (int h = 0; h < local_heads; ++h) {
+      const int c0 = h * p;
+      const int c1 = c0 + p;
+      const kernels::ConstView kh = cache != nullptr ? cache->k_view(c0, c1)
+                                                     : kernels::ConstView(kg.col_range(c0, c1));
+      const kernels::ConstView vh = cache != nullptr ? cache->v_view(c0, c1)
+                                                     : kernels::ConstView(vg.col_range(c0, c1));
+      kernels::attention_head(qg.col_range(c0, c1), kh, vh,
+                              ctx.row_range(row0, r1).col_range(c0, c1), causal,
+                              g.pos_offset, scores);
     }
+    row0 = r1;
   }
 
   // Partial output: this chip's rows of WO applied to its context slice.
-  model::Tensor partial(s, e);
-  kernels::gemm(ctx.span(), w.wo.span(), partial.span(), s, e, pw);
-  return partial;
+  kernels::gemm(ctx, w.wo.view(), kernels::View(partial, s, e));
 }
 
-model::Tensor DistributedBlock::ffn_partial(const model::Tensor& h, int chip,
-                                            int layer) const {
+void DistributedBlock::ffn_partial(ForwardWorkspace& ws, std::span<const float> h, int chip,
+                                   int layer, std::span<float> partial) const {
   const WeightShard& w = shards_.shard(chip, layer);
-  const int s = h.rows();
+  const int e = cfg_.embed_dim;
+  const int s = static_cast<int>(h.size()) / e;
   const int fw = plan_.slice(chip).f_width();
-  model::Tensor hidden(s, fw);
-  kernels::gemm(h.span(), w.w1.span(), hidden.span(), s, fw, cfg_.embed_dim);
+  const auto sf = static_cast<std::size_t>(s) * static_cast<std::size_t>(fw);
+  const kernels::ConstView hv(h, s, e);
+  const std::span<float> hidden = ForwardWorkspace::take(ws.hidden, sf);
+  kernels::gemm(hv, w.w1.view(), kernels::View(hidden, s, fw));
   apply_activation(hidden);
   if (cfg_.ffn == model::FfnKind::swiglu) {
     // The gate shards along F exactly like W1: chip-local, zero comm.
-    model::Tensor gate(s, fw);
-    kernels::gemm(h.span(), w.w3.span(), gate.span(), s, fw, cfg_.embed_dim);
-    kernels::mul_inplace(hidden.span(), gate.span());
+    const std::span<float> gate = ForwardWorkspace::take(ws.gate, sf);
+    kernels::gemm(hv, w.w3.view(), kernels::View(gate, s, fw));
+    kernels::mul_inplace(hidden, gate);
   }
-  model::Tensor partial(s, cfg_.embed_dim);
-  kernels::gemm(hidden.span(), w.w2.span(), partial.span(), s, cfg_.embed_dim, fw);
-  return partial;
+  kernels::gemm(kernels::ConstView(hidden, s, fw), w.w2.view(), kernels::View(partial, s, e));
 }
 
-model::Tensor DistributedBlock::reduce_with_skip(std::vector<model::Tensor>& partials,
-                                                 const model::Tensor& skip,
-                                                 CommRecord* comm) const {
+void DistributedBlock::reduce_with_skip(ForwardWorkspace& ws, std::span<const float> skip,
+                                        CommRecord* comm) const {
   // The skip connection is merged into the all-reduce (paper Sec. IV):
   // every chip holds the block input, so the root simply folds it in
   // after accumulating the partials.
-  std::vector<std::span<float>> views;
-  views.reserve(partials.size());
-  for (auto& p : partials) views.emplace_back(p.span());
-  noc::reduce_numeric(topo_, views);
-  model::Tensor& root = partials[static_cast<std::size_t>(topo_.root())];
-  kernels::add_inplace(root.span(), skip.span());
+  noc::reduce_numeric(topo_, ws.views);
+  const std::span<float> root = ws.views[static_cast<std::size_t>(topo_.root())];
+  kernels::add_inplace(root, skip);
   if (comm != nullptr) {
     comm->reduces += 1;
     comm->payload_elems = root.size();
     comm->total_hop_elems += topo_.hops_per_reduce() * root.size();
   }
-  return root;
 }
 
 void DistributedBlock::record_broadcast(std::uint64_t elems, CommRecord* comm) const {
@@ -170,58 +192,94 @@ void DistributedBlock::record_broadcast(std::uint64_t elems, CommRecord* comm) c
   }
 }
 
-model::Tensor DistributedBlock::forward(const model::Tensor& x, int layer,
-                                        std::vector<std::vector<model::KvCache>>* chip_caches,
-                                        int pos_offset, CommRecord* comm) const {
-  DISTMCU_CHECK(x.cols() == cfg_.embed_dim, "DistributedBlock::forward: input width != E");
+void DistributedBlock::forward(ForwardWorkspace& ws, std::span<const float> x,
+                               std::span<float> out, std::span<const RowGroup> groups,
+                               int layer, CommRecord* comm) const {
+  const int e = cfg_.embed_dim;
+  int rows = 0;
+  for (const RowGroup& g : groups) {
+    DISTMCU_CHECK(g.rows > 0, "DistributedBlock::forward: empty row group");
+    rows += g.rows;
+  }
+  const std::size_t size = static_cast<std::size_t>(rows) * static_cast<std::size_t>(e);
+  DISTMCU_CHECK(rows > 0 && x.size() == size && out.size() == size,
+                "DistributedBlock::forward: input/output size != group rows * E");
   const model::LayerWeights& lw = weights_.layer(layer);
   const int n = plan_.num_chips();
+  const auto root = static_cast<std::size_t>(topo_.root());
+  ws.partials.resize(static_cast<std::size_t>(n));
+  ws.views.resize(static_cast<std::size_t>(n));
+  for (std::size_t c = 0; c < ws.partials.size(); ++c) {
+    ws.views[c] = ForwardWorkspace::take(ws.partials[c], size);
+  }
 
   // --- MHSA phase -------------------------------------------------------
   // Pre-norm models normalize the broadcast input locally on every chip
   // (replicated O(S*E) work, zero communication — Megatron-style);
   // post-norm (paper Fig. 3) feeds x directly.
-  model::Tensor attn_in = cfg_.pre_norm
-                              ? root_norm(x, lw.norm1_gamma, lw.norm1_beta)
-                              : x;
-  std::vector<model::Tensor> partials;
-  partials.reserve(static_cast<std::size_t>(n));
-  for (int c = 0; c < n; ++c) {
-    partials.push_back(mhsa_partial(attn_in, c, layer, chip_caches, pos_offset));
+  std::span<const float> attn_in = x;
+  if (cfg_.pre_norm) {
+    const std::span<float> normed = ForwardWorkspace::take(ws.normed, size);
+    root_norm(x, lw.norm1_gamma, lw.norm1_beta, normed);
+    attn_in = normed;
   }
-  const model::Tensor a = reduce_with_skip(partials, x, comm);
+  for (int c = 0; c < n; ++c) {
+    mhsa_partial(ws, attn_in, c, layer, groups, ws.views[static_cast<std::size_t>(c)]);
+  }
+  reduce_with_skip(ws, x, comm);
 
   // Root normalizes (post-norm) and broadcasts; pre-norm broadcasts the
   // residual stream and normalizes locally in the FFN phase.
-  model::Tensor h = cfg_.pre_norm ? a : root_norm(a, lw.norm1_gamma, lw.norm1_beta);
+  const std::span<float> h = ForwardWorkspace::take(ws.h, size);
+  if (cfg_.pre_norm) {
+    std::copy(ws.views[root].begin(), ws.views[root].end(), h.begin());
+  } else {
+    root_norm(ws.views[root], lw.norm1_gamma, lw.norm1_beta, h);
+  }
   {
     // Numerically execute the broadcast: non-root chips start from
     // zeroed buffers, so taking the last chip's copy afterwards proves
     // the data really travelled the tree.
-    std::vector<model::Tensor> copies;
-    copies.reserve(static_cast<std::size_t>(n));
-    for (int c = 0; c < n; ++c) {
-      copies.push_back(c == topo_.root() ? h : model::Tensor(h.rows(), h.cols()));
+    for (std::size_t c = 0; c < ws.views.size(); ++c) {
+      if (c == root) {
+        std::copy(h.begin(), h.end(), ws.views[c].begin());
+      } else {
+        std::fill(ws.views[c].begin(), ws.views[c].end(), 0.0f);
+      }
     }
-    std::vector<std::span<float>> views;
-    views.reserve(copies.size());
-    for (auto& t : copies) views.emplace_back(t.span());
-    noc::broadcast_numeric(topo_, views);
-    record_broadcast(h.size(), comm);
-    h = copies[static_cast<std::size_t>(n - 1)];  // any chip's copy
+    noc::broadcast_numeric(topo_, ws.views);
+    record_broadcast(size, comm);
+    const std::span<float> any_chip = ws.views.back();
+    std::copy(any_chip.begin(), any_chip.end(), h.begin());
   }
 
   // --- FFN phase ---------------------------------------------------------
-  const model::Tensor ffn_in =
-      cfg_.pre_norm ? root_norm(h, lw.norm2_gamma, lw.norm2_beta) : h;
-  std::vector<model::Tensor> partials2;
-  partials2.reserve(static_cast<std::size_t>(n));
-  for (int c = 0; c < n; ++c) {
-    partials2.push_back(ffn_partial(ffn_in, c, layer));
+  std::span<const float> ffn_in = h;
+  if (cfg_.pre_norm) {
+    const std::span<float> normed = ForwardWorkspace::take(ws.normed, size);
+    root_norm(h, lw.norm2_gamma, lw.norm2_beta, normed);
+    ffn_in = normed;
   }
-  model::Tensor out = reduce_with_skip(partials2, h, comm);
-  if (!cfg_.pre_norm) out = root_norm(out, lw.norm2_gamma, lw.norm2_beta);
-  record_broadcast(out.size(), comm);
+  for (int c = 0; c < n; ++c) {
+    ffn_partial(ws, ffn_in, c, layer, ws.views[static_cast<std::size_t>(c)]);
+  }
+  reduce_with_skip(ws, h, comm);
+  if (cfg_.pre_norm) {
+    std::copy(ws.views[root].begin(), ws.views[root].end(), out.begin());
+  } else {
+    root_norm(ws.views[root], lw.norm2_gamma, lw.norm2_beta, out);
+  }
+  record_broadcast(size, comm);
+}
+
+model::Tensor DistributedBlock::forward(const model::Tensor& x, int layer,
+                                        std::vector<std::vector<model::KvCache>>* chip_caches,
+                                        int pos_offset, CommRecord* comm) const {
+  DISTMCU_CHECK(x.cols() == cfg_.embed_dim, "DistributedBlock::forward: input width != E");
+  ForwardWorkspace ws;
+  model::Tensor out(x.rows(), x.cols());
+  const RowGroup group{chip_caches, pos_offset, x.rows()};
+  forward(ws, x.span(), out.span(), {&group, 1}, layer, comm);
   return out;
 }
 

@@ -2,6 +2,7 @@
 #define DISTMCU_PARTITION_DISTRIBUTED_BLOCK_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "model/config.hpp"
@@ -24,6 +25,43 @@ struct CommRecord {
   std::uint64_t total_hop_elems = 0;  // sum over all hops of payload elems
 
   [[nodiscard]] int synchronizations() const { return reduces; }
+};
+
+/// One request's rows inside a stacked forward: the groups of a forward
+/// sit back to back in its input, in order. `caches` (indexed
+/// [chip][layer], dim = each chip's proj_width) receives the group's K/V
+/// rows and is what its queries attend over; null makes the rows attend
+/// only among themselves (encode's case). `pos_offset` is the absolute
+/// position of the group's first row.
+struct RowGroup {
+  std::vector<std::vector<model::KvCache>>* caches = nullptr;
+  int pos_offset = 0;
+  int rows = 0;
+};
+
+/// Scratch of the stacked forward, owned by its caller (a serving
+/// tenant, one generate() call) and reused across layers and steps.
+/// Every buffer grows on first use to the largest stack seen and never
+/// shrinks, so a forward into a warmed workspace allocates nothing.
+/// Contents carry no meaning between calls. `x`, `y` and `logits` are
+/// left to the caller (the layer stream and the LM head).
+struct ForwardWorkspace {
+  std::vector<float> x, y, logits;
+  std::vector<float> normed, h, q, k, v, ctx, scores, hidden, gate;
+  std::vector<std::vector<float>> partials;  // one [rows, E] buffer per chip
+  std::vector<std::span<float>> views;       // the partials, for the collectives
+  /// RoPE angles of positions [0, rope_positions) for one head width
+  /// and base (kernels::rope_table layout), extended on demand.
+  std::vector<float> rope;
+  int rope_positions = 0;
+  int rope_head_dim = 0;
+  float rope_base = 0.0f;
+
+  /// The first `n` floats of `buf`, growing it when it is shorter.
+  static std::span<float> take(std::vector<float>& buf, std::size_t n) {
+    if (buf.size() < n) buf.resize(n);
+    return {buf.data(), n};
+  }
 };
 
 /// Functional (numerically real) execution of one Transformer block under
@@ -50,10 +88,19 @@ class DistributedBlock {
                    const ShardedWeights& shards, const PartitionPlan& plan,
                    const noc::Topology& topo);
 
-  /// Execute one block. `x` is the block input (logically broadcast to
-  /// all chips). `chip_caches`, when non-null, is indexed
-  /// [chip][layer] and holds each chip's KV slice (dim = proj_width).
-  /// `pos_offset` is the absolute position of x's first row.
+  /// Execute one block over a stack of row groups: `x` [rows, E] holds
+  /// the groups' inputs back to back (logically broadcast to all chips)
+  /// and `out` [rows, E] receives the block output. The projections, WO,
+  /// the FFN, the norms and both reduce+broadcast synchronizations run
+  /// once over all rows; RoPE, the KV append and attention run per group
+  /// against its own caches and positions. Every output element is the
+  /// same sum it is when its group runs alone.
+  void forward(ForwardWorkspace& ws, std::span<const float> x, std::span<float> out,
+               std::span<const RowGroup> groups, int layer,
+               CommRecord* comm = nullptr) const;
+
+  /// The one-group case: `x` is one request's rows at `pos_offset`
+  /// against `chip_caches` (nullable), in a fresh workspace.
   [[nodiscard]] model::Tensor forward(const model::Tensor& x, int layer,
                                       std::vector<std::vector<model::KvCache>>* chip_caches,
                                       int pos_offset, CommRecord* comm = nullptr) const;
@@ -66,22 +113,22 @@ class DistributedBlock {
   [[nodiscard]] const noc::Topology& topology() const { return topo_; }
 
  private:
-  /// Per-chip partial MHSA output [S, E] for chip `c`.
-  [[nodiscard]] model::Tensor mhsa_partial(const model::Tensor& x, int chip, int layer,
-                                           std::vector<std::vector<model::KvCache>>* caches,
-                                           int pos_offset) const;
-  /// Per-chip partial FFN output [S, E].
-  [[nodiscard]] model::Tensor ffn_partial(const model::Tensor& h, int chip,
-                                          int layer) const;
-  [[nodiscard]] model::Tensor root_norm(const model::Tensor& x, const model::Tensor& gamma,
-                                        const model::Tensor& beta) const;
-  void apply_activation(model::Tensor& t) const;
+  /// Chip `chip`'s partial MHSA output [rows, E] into `partial`.
+  void mhsa_partial(ForwardWorkspace& ws, std::span<const float> x, int chip, int layer,
+                    std::span<const RowGroup> groups, std::span<float> partial) const;
+  /// Chip `chip`'s partial FFN output [rows, E] into `partial`.
+  void ffn_partial(ForwardWorkspace& ws, std::span<const float> h, int chip, int layer,
+                   std::span<float> partial) const;
+  void root_norm(std::span<const float> x, const model::Tensor& gamma,
+                 const model::Tensor& beta, std::span<float> out) const;
+  void apply_activation(std::span<float> t) const;
+  /// The workspace's RoPE table, extended to cover `positions`.
+  [[nodiscard]] std::span<const float> rope_table(ForwardWorkspace& ws, int positions) const;
 
-  /// Reduce per-chip partials (tree order), merge the skip tensor, and
-  /// return the root's result; records comm stats.
-  [[nodiscard]] model::Tensor reduce_with_skip(std::vector<model::Tensor>& partials,
-                                               const model::Tensor& skip,
-                                               CommRecord* comm) const;
+  /// Reduce the per-chip partials (tree order) and merge the skip
+  /// tensor; the result lands in the root's partial. Records comm stats.
+  void reduce_with_skip(ForwardWorkspace& ws, std::span<const float> skip,
+                        CommRecord* comm) const;
   void record_broadcast(std::uint64_t elems, CommRecord* comm) const;
 
   const model::TransformerConfig& cfg_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "kernels/attention.hpp"
 #include "kernels/gemm.hpp"
@@ -136,16 +138,10 @@ model::Tensor QuantizedBlock::attn_context(
 
   if (cfg_.pos == model::PosEmbed::rope) {
     for (int h = 0; h < local_heads; ++h) {
-      model::Tensor qh = q.slice_cols(h * p, (h + 1) * p);
-      model::Tensor kh = k.slice_cols(h * p, (h + 1) * p);
-      kernels::rope_apply(qh.span(), s, p, pos_offset, cfg_.rope_base);
-      kernels::rope_apply(kh.span(), s, p, pos_offset, cfg_.rope_base);
-      for (int r = 0; r < s; ++r) {
-        for (int c = 0; c < p; ++c) {
-          q.at(r, h * p + c) = qh.at(r, c);
-          k.at(r, h * p + c) = kh.at(r, c);
-        }
-      }
+      kernels::rope_apply(q.view().col_range(h * p, (h + 1) * p), pos_offset,
+                          cfg_.rope_base);
+      kernels::rope_apply(k.view().col_range(h * p, (h + 1) * p), pos_offset,
+                          cfg_.rope_base);
     }
   }
 
@@ -173,24 +169,21 @@ model::Tensor QuantizedBlock::attn_context(
 
   model::Tensor ctx(s, pw);
   const bool causal = cfg_.mask == model::MaskKind::causal;
+  const model::KvCache* cache =
+      caches == nullptr
+          ? nullptr
+          : &(*caches)[static_cast<std::size_t>(chip)][static_cast<std::size_t>(layer)];
+  std::vector<float> scores;
   for (int h = 0; h < local_heads; ++h) {
-    const model::Tensor qh = q.slice_cols(h * p, (h + 1) * p);
-    model::Tensor kh, vh;
-    if (caches != nullptr) {
-      const auto& cache =
-          (*caches)[static_cast<std::size_t>(chip)][static_cast<std::size_t>(layer)];
-      kh = cache.k_slice(h * p, (h + 1) * p);
-      vh = cache.v_slice(h * p, (h + 1) * p);
-    } else {
-      kh = k.slice_cols(h * p, (h + 1) * p);
-      vh = v.slice_cols(h * p, (h + 1) * p);
-    }
-    model::Tensor oh(s, p);
-    kernels::attention_head(qh.span(), kh.span(), vh.span(), oh.span(), s, kh.rows(), p,
-                            causal, pos_offset);
-    for (int r = 0; r < s; ++r) {
-      for (int c = 0; c < p; ++c) ctx.at(r, h * p + c) = oh.at(r, c);
-    }
+    const int c0 = h * p;
+    const int c1 = c0 + p;
+    const kernels::ConstView kh =
+        cache != nullptr ? cache->k_view(c0, c1) : std::as_const(k).view().col_range(c0, c1);
+    const kernels::ConstView vh =
+        cache != nullptr ? cache->v_view(c0, c1) : std::as_const(v).view().col_range(c0, c1);
+    scores.resize(static_cast<std::size_t>(s) * static_cast<std::size_t>(kh.rows));
+    kernels::attention_head(std::as_const(q).view().col_range(c0, c1), kh, vh,
+                            ctx.view().col_range(c0, c1), causal, pos_offset, scores);
   }
   return ctx;
 }

@@ -1150,15 +1150,29 @@ void BatchedEngine::finish(Inflight& r, int step_idx) {
   ++pm.completed;
 }
 
-model::Tensor BatchedEngine::forward_tokens(const Inflight& r,
-                                            const std::vector<int>& toks,
-                                            int pos_offset) {
+void BatchedEngine::stack_rows(const Inflight& r, std::span<const int> toks,
+                               int pos_offset) {
   Tenant& t = tenants_[static_cast<std::size_t>(r.model)];
-  model::Tensor h = t.session->embedding().lookup(toks);
-  for (int l = 0; l < t.session->config().num_layers; ++l) {
-    h = t.session->forward(h, l, &t.pool->slot(r.set), pos_offset);
-  }
+  t.stack_groups.push_back(
+      {&t.pool->slot(r.set), pos_offset, static_cast<int>(toks.size())});
+  t.stack_ids.insert(t.stack_ids.end(), toks.begin(), toks.end());
+}
+
+std::span<const float> BatchedEngine::run_stack(Tenant& t) {
+  const std::span<const float> h =
+      t.session->forward_tokens(t.ws, t.stack_ids, t.stack_groups);
+  t.stack_groups.clear();
+  t.stack_ids.clear();
   return h;
+}
+
+int BatchedEngine::greedy_at(Tenant& t, std::span<const float> h, int row) {
+  const int e = t.session->config().embed_dim;
+  const kernels::ConstView rows(h, static_cast<int>(h.size()) / e, e);
+  int next = 0;
+  t.session->embedding().greedy_rows(rows.row_range(row, row + 1), t.ws.logits,
+                                     {&next, 1});
+  return next;
 }
 
 void BatchedEngine::admit_pending(int step_idx, double& step_energy,
@@ -1327,10 +1341,10 @@ void BatchedEngine::admit_pending(int step_idx, double& step_energy,
     // occupies the port.
     r.started = true;
     trace_admission(r);
-    const model::Tensor h = forward_tokens(r, r.prompt, 0);
-    r.tokens = r.prompt;
+    stack_rows(r, r.prompt, 0);
+    const std::span<const float> h = run_stack(t);
     r.prefill_pos = static_cast<int>(r.prompt.size());
-    r.pos = static_cast<int>(r.prompt.size());
+    r.start_stream();
     charge(r, t.prompt_cycles, t.prompt_energy_mj, sim::Category::compute,
            "prefill", r.admitted_at);
     stats_.prefill_cycles += t.prompt_cycles;
@@ -1342,7 +1356,7 @@ void BatchedEngine::admit_pending(int step_idx, double& step_energy,
     if (r.new_tokens == 0) {
       finish(r, step_idx);
     } else {
-      r.next = t.session->embedding().greedy_next(h);
+      r.next = greedy_at(t, h, r.prefill_pos - 1);
       active_.push_back(std::move(r));
     }
   }
@@ -1461,7 +1475,6 @@ void BatchedEngine::donate_prefix(const Inflight& r) {
 void BatchedEngine::subphase_serial(ModelId m, int step_idx,
                                     double& step_energy, bool& step_decode) {
   Tenant& t = tenants_[static_cast<std::size_t>(m)];
-  const auto& emb = t.session->embedding();
   auto& pm = stats_.per_model[static_cast<std::size_t>(m)];
 
   // Emit one token per active request of this model; a request that
@@ -1470,6 +1483,7 @@ void BatchedEngine::subphase_serial(ModelId m, int step_idx,
   std::vector<Inflight> still_active;
   still_active.reserve(active_.size());
   std::vector<std::size_t> decoders;  // indices into the rebuilt active_
+  decoders.reserve(active_.size());
   for (auto& r : active_) {
     if (r.model != m) {
       still_active.push_back(std::move(r));
@@ -1483,13 +1497,13 @@ void BatchedEngine::subphase_serial(ModelId m, int step_idx,
       finish(r, step_idx);
       continue;
     }
-    r.next = emb.greedy_next(forward_tokens(r, {r.next}, r.pos));
-    ++r.pos;
+    stack_rows(r, {&r.next, 1}, r.pos);
     decoders.push_back(still_active.size());
     still_active.push_back(std::move(r));
   }
   active_ = std::move(still_active);
   if (decoders.empty()) return;
+  decode_stack(t, decoders);
 
   // Decode phase: this model's serialized forwards race the weight
   // stream its previous decode step prefetched on its own channel, and
@@ -1594,23 +1608,17 @@ void BatchedEngine::charge_decode_phase(
 // step, co-scheduled with its decodes in heterogeneous steps).
 // --------------------------------------------------------------------------
 
-int BatchedEngine::run_prefill_chunk(Inflight& r) {
-  Tenant& t = tenants_[static_cast<std::size_t>(r.model)];
-  const int len = static_cast<int>(r.prompt.size());
-  const int begin = r.prefill_pos;
-  const int chunk_idx = begin / t.chunk_tokens;
-  const int end = std::min(begin + t.chunk_tokens, len);
-
-  const std::vector<int> chunk(r.prompt.begin() + begin,
-                               r.prompt.begin() + end);
-  const model::Tensor h = forward_tokens(r, chunk, begin);
-  r.prefill_pos = end;
-  if (r.prefill_done()) {
-    r.tokens = r.prompt;
-    r.pos = len;
-    if (r.new_tokens > 0) r.next = t.session->embedding().greedy_next(h);
+void BatchedEngine::decode_stack(Tenant& t, const std::vector<std::size_t>& rows) {
+  const std::span<const float> h = run_stack(t);
+  const int e = t.session->config().embed_dim;
+  t.stack_next.resize(rows.size());
+  t.session->embedding().greedy_rows(
+      kernels::ConstView(h, static_cast<int>(rows.size()), e), t.ws.logits, t.stack_next);
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    Inflight& r = active_[rows[j]];
+    r.next = t.stack_next[j];
+    ++r.pos;
   }
-  return chunk_idx;
 }
 
 void BatchedEngine::subphase_chunked(ModelId m, int step_idx,
@@ -1630,6 +1638,7 @@ void BatchedEngine::subphase_chunked(ModelId m, int step_idx,
     bool first;       // the request's first chunk (admission point)
   };
   std::vector<ChunkRun> chunk_runs;
+  chunk_runs.reserve(active_.size());
   for (std::size_t i = 0; i < active_.size(); ++i) {
     Inflight& r = active_[i];
     if (r.model != m || r.prefill_done()) continue;
@@ -1638,15 +1647,35 @@ void BatchedEngine::subphase_chunked(ModelId m, int step_idx,
     // belongs at its own first chunk.
     const bool first = !r.started;
     r.started = true;
-    const int ci = run_prefill_chunk(r);
-    if (r.prefill_done() && paged() && opts_.prefix_sharing) {
-      donate_prefix(r);
+    const int begin = r.prefill_pos;
+    const int end = std::min(begin + t.chunk_tokens, static_cast<int>(r.prompt.size()));
+    stack_rows(r, std::span<const int>(r.prompt).subspan(
+                      static_cast<std::size_t>(begin), static_cast<std::size_t>(end - begin)),
+               begin);
+    chunk_runs.push_back({i, begin / t.chunk_tokens, first});
+  }
+  if (!chunk_runs.empty()) {
+    // All of this model's prompt chunks in one stacked forward; each
+    // request then advances past its chunk in admission order.
+    const std::span<const float> h = run_stack(t);
+    int row_end = 0;
+    for (const ChunkRun& cr : chunk_runs) {
+      Inflight& r = active_[cr.req];
+      const int len = static_cast<int>(r.prompt.size());
+      const int end = std::min(r.prefill_pos + t.chunk_tokens, len);
+      row_end += end - r.prefill_pos;
+      r.prefill_pos = end;
+      if (!r.prefill_done()) continue;
+      r.start_stream();
+      if (r.new_tokens > 0) r.next = greedy_at(t, h, row_end - 1);
+      if (paged() && opts_.prefix_sharing) donate_prefix(r);
     }
-    chunk_runs.push_back({i, ci, first});
   }
 
   std::vector<std::size_t> decode_runs;  // ran a decode forward this step
   std::vector<std::size_t> finishers;    // leave at this boundary
+  decode_runs.reserve(active_.size());
+  finishers.reserve(active_.size());
   for (std::size_t i = 0; i < active_.size(); ++i) {
     Inflight& r = active_[i];
     if (r.model != m || !r.prefill_done()) continue;
@@ -1664,11 +1693,10 @@ void BatchedEngine::subphase_chunked(ModelId m, int step_idx,
       finishers.push_back(i);
       continue;
     }
-    r.next =
-        t.session->embedding().greedy_next(forward_tokens(r, {r.next}, r.pos));
-    ++r.pos;
+    stack_rows(r, {&r.next, 1}, r.pos);
     decode_runs.push_back(i);
   }
+  if (!decode_runs.empty()) decode_stack(t, decode_runs);
 
   // ---- step cost through the multi-consumer pipeline -------------------
   Cycles prefill_compute = 0;

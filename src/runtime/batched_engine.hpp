@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -603,6 +604,13 @@ class BatchedEngine {
     [[nodiscard]] bool prefill_done() const {
       return prefill_pos >= static_cast<int>(prompt.size());
     }
+    /// Start the output stream once the prompt is prefilled, its whole
+    /// length reserved so decode steps never reallocate it.
+    void start_stream() {
+      tokens.reserve(prompt.size() + static_cast<std::size_t>(new_tokens));
+      tokens.assign(prompt.begin(), prompt.end());
+      pos = static_cast<int>(prompt.size());
+    }
   };
 
   /// Per-chunk-index cost decomposition (all layers), derived from
@@ -702,6 +710,14 @@ class BatchedEngine {
     /// spans (KV checkpoints) push in-flight fetches and engine time in
     /// lockstep, so the margin never grows after issue.
     Cycles pending_fetch_margin = 0;
+
+    /// The tenant's stacked forward: a workspace that grows on first use
+    /// (never sized at construction), the row groups and tokens of the
+    /// stack being assembled, and the greedy token of each decoded row.
+    partition::ForwardWorkspace ws;
+    std::vector<partition::RowGroup> stack_groups;
+    std::vector<int> stack_ids;
+    std::vector<int> stack_next;
   };
 
   /// Per-tenant bound on registered prompt prefixes; beyond it the
@@ -856,17 +872,21 @@ class BatchedEngine {
   /// sched_chip; everything else stays on chip 0).
   void charge(Inflight& r, Cycles cycles, double energy_mj, sim::Category cat,
               const char* label, Cycles begin, int chip = 0);
-  /// Embed `toks` and run them through every layer of the request's
-  /// model against the request's KV set, `pos_offset` being the absolute
-  /// position of the first row — the one functional forward path shared
-  /// by prefills (whole prompts and chunks) and decode steps.
-  [[nodiscard]] model::Tensor forward_tokens(const Inflight& r,
-                                             const std::vector<int>& toks,
-                                             int pos_offset);
-  /// Run one prompt chunk functionally (embeds, all layers, KV append);
-  /// returns the chunk index it advanced through and sets `next` when
-  /// the prompt completes.
-  int run_prefill_chunk(Inflight& r);
+  /// Append `toks` at absolute position `pos_offset`, against r's KV
+  /// set, to its tenant's stack as one row group.
+  void stack_rows(const Inflight& r, std::span<const int> toks, int pos_offset);
+  /// Embed the tenant's stack and run it through every layer in one
+  /// stacked forward — the functional path shared by prefills (whole
+  /// prompts and chunks) and decode steps. Empties the stack and returns
+  /// the final hidden states [rows, E] (valid until the next forward).
+  [[nodiscard]] std::span<const float> run_stack(Tenant& t);
+  /// Greedy token after row `row` of a run_stack result.
+  [[nodiscard]] static int greedy_at(Tenant& t, std::span<const float> h, int row);
+  /// Run the tenant's stack of single decode rows, one per request of
+  /// `rows` (indices into active_, in stack order): one forward and one
+  /// LM-head GEMM over all of them, then each request takes its next
+  /// token and advances one position.
+  void decode_stack(Tenant& t, const std::vector<std::size_t>& rows);
 
   [[nodiscard]] const Tenant& tenant(ModelId m) const;
 

@@ -1,5 +1,7 @@
 #include "runtime/inference_session.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace distmcu::runtime {
@@ -88,6 +90,53 @@ std::vector<BlockResult> InferenceSession::run_prompt_chunks(
   return out;
 }
 
+void InferenceSession::forward(partition::ForwardWorkspace& ws, std::span<const float> x,
+                               std::span<float> out,
+                               std::span<const partition::RowGroup> groups,
+                               int layer) const {
+  if (qblock_ == nullptr) {
+    block_->forward(ws, x, out, groups, layer);
+    return;
+  }
+  const auto e = static_cast<std::size_t>(cfg_.embed_dim);
+  std::size_t row0 = 0;
+  for (const partition::RowGroup& g : groups) {
+    model::Tensor xg(g.rows, cfg_.embed_dim);
+    const auto n = static_cast<std::size_t>(g.rows) * e;
+    const auto first = x.begin() + static_cast<std::ptrdiff_t>(row0 * e);
+    std::copy(first, first + static_cast<std::ptrdiff_t>(n), xg.span().begin());
+    const model::Tensor yg = qblock_->forward(xg, layer, g.caches, g.pos_offset);
+    std::copy(yg.span().begin(), yg.span().end(),
+              out.begin() + static_cast<std::ptrdiff_t>(row0 * e));
+    row0 += static_cast<std::size_t>(g.rows);
+  }
+  DISTMCU_CHECK(row0 * e == x.size() && x.size() == out.size(),
+                "InferenceSession::forward: input/output size != group rows * E");
+}
+
+model::Tensor InferenceSession::forward(
+    const model::Tensor& x, int layer,
+    std::vector<std::vector<model::KvCache>>* chip_caches, int pos_offset) const {
+  partition::ForwardWorkspace ws;
+  model::Tensor out(x.rows(), x.cols());
+  const partition::RowGroup group{chip_caches, pos_offset, x.rows()};
+  forward(ws, x.span(), out.span(), {&group, 1}, layer);
+  return out;
+}
+
+std::span<const float> InferenceSession::forward_tokens(
+    partition::ForwardWorkspace& ws, std::span<const int> ids,
+    std::span<const partition::RowGroup> groups) const {
+  const std::size_t size = ids.size() * static_cast<std::size_t>(cfg_.embed_dim);
+  embedding_.lookup(ids, partition::ForwardWorkspace::take(ws.x, size));
+  for (int l = 0; l < cfg_.num_layers; ++l) {
+    forward(ws, partition::ForwardWorkspace::take(ws.x, size),
+            partition::ForwardWorkspace::take(ws.y, size), groups, l);
+    ws.x.swap(ws.y);
+  }
+  return partition::ForwardWorkspace::take(ws.x, size);
+}
+
 GenerationResult InferenceSession::generate(const std::vector<int>& prompt,
                                             int new_tokens) const {
   DISTMCU_CHECK(!prompt.empty(), "generate: prompt must not be empty");
@@ -104,30 +153,34 @@ GenerationResult InferenceSession::generate(const std::vector<int>& prompt,
   const auto layers = static_cast<Cycles>(cfg_.num_layers);
 
   auto caches = make_chip_caches(cfg_.ar_context);
+  partition::ForwardWorkspace ws;
+  const int e = cfg_.embed_dim;
+  // Greedy token after the last row of a forward's hidden states.
+  const auto greedy_last = [&](std::span<const float> h) {
+    const int rows = static_cast<int>(h.size()) / e;
+    int next = 0;
+    embedding_.greedy_rows(kernels::ConstView(h, rows, e).row_range(rows - 1, rows),
+                           ws.logits, {&next, 1});
+    return next;
+  };
 
   // --- prefill: run the prompt through all layers (prompt mode) -------
-  model::Tensor h = embedding_.lookup(prompt);
-  for (int l = 0; l < cfg_.num_layers; ++l) {
-    h = forward(h, l, &caches, 0);
-  }
+  partition::RowGroup group{&caches, 0, static_cast<int>(prompt.size())};
+  int next = greedy_last(forward_tokens(ws, prompt, {&group, 1}));
   out.total_cycles += prompt_cost.report.block_cycles * layers;
   out.total_energy_mj += prompt_cost.energy_mj() * static_cast<double>(layers);
 
   // --- decode: one token at a time against the KV caches --------------
-  int pos = static_cast<int>(prompt.size());
-  int next = embedding_.greedy_next(h);
+  group.pos_offset = static_cast<int>(prompt.size());
+  group.rows = 1;
   for (int t = 0; t < new_tokens; ++t) {
     out.tokens.push_back(next);
     ++out.generated;
     if (t + 1 == new_tokens) break;
-    model::Tensor x = embedding_.lookup({next});
-    for (int l = 0; l < cfg_.num_layers; ++l) {
-      x = forward(x, l, &caches, pos);
-    }
+    next = greedy_last(forward_tokens(ws, {&next, 1}, {&group, 1}));
     out.total_cycles += ar_cost.report.block_cycles * layers;
     out.total_energy_mj += ar_cost.energy_mj() * static_cast<double>(layers);
-    next = embedding_.greedy_next(x);
-    ++pos;
+    ++group.pos_offset;
   }
   return out;
 }
@@ -136,11 +189,12 @@ model::Tensor InferenceSession::encode(const std::vector<int>& tokens) const {
   DISTMCU_CHECK(static_cast<int>(tokens.size()) == cfg_.prompt_len,
               "encode: token count must equal the configured sequence length (" +
                   std::to_string(cfg_.prompt_len) + ")");
-  model::Tensor h = embedding_.lookup(tokens);
-  for (int l = 0; l < cfg_.num_layers; ++l) {
-    h = forward(h, l, nullptr, 0);
-  }
-  return h;
+  partition::ForwardWorkspace ws;
+  const partition::RowGroup group{nullptr, 0, cfg_.prompt_len};
+  const std::span<const float> h = forward_tokens(ws, tokens, {&group, 1});
+  model::Tensor out(cfg_.prompt_len, cfg_.embed_dim);
+  std::copy(h.begin(), h.end(), out.span().begin());
+  return out;
 }
 
 }  // namespace distmcu::runtime

@@ -2,6 +2,7 @@
 #define DISTMCU_RUNTIME_INFERENCE_SESSION_HPP
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "energy/energy_model.hpp"
@@ -127,16 +128,30 @@ class InferenceSession {
                           static_cast<int>(sys_.precision.kv_bytes) * kBitsPerByte);
   }
 
-  /// Precision-dispatched block execution: int8 deployments route
-  /// through the quantized block, everything else through the float
-  /// block. All serving-path forwards (engine, generate, encode) go
-  /// through here so precision cannot be bypassed per call site.
+  /// Precision-dispatched block execution of a stack of row groups (see
+  /// partition::DistributedBlock::forward): `x` and `out` are [rows, E]
+  /// with the groups' rows back to back. Float deployments run the whole
+  /// stack at once in `ws`; int8 deployments run one quantized-block call
+  /// per group, because their dynamic activation scales are per tensor
+  /// and stacking would change them. All serving-path forwards (engine,
+  /// generate, encode) go through here so precision cannot be bypassed
+  /// per call site.
+  void forward(partition::ForwardWorkspace& ws, std::span<const float> x,
+               std::span<float> out, std::span<const partition::RowGroup> groups,
+               int layer) const;
+
+  /// The one-group case: one request's rows at `pos_offset` against
+  /// `chip_caches` (nullable), in a fresh workspace.
   [[nodiscard]] model::Tensor forward(
       const model::Tensor& x, int layer,
-      std::vector<std::vector<model::KvCache>>* chip_caches, int pos_offset) const {
-    return qblock_ != nullptr ? qblock_->forward(x, layer, chip_caches, pos_offset)
-                              : block_->forward(x, layer, chip_caches, pos_offset);
-  }
+      std::vector<std::vector<model::KvCache>>* chip_caches, int pos_offset) const;
+
+  /// Embeds `ids` (the groups' tokens back to back) and runs them through
+  /// every layer. Returns the final hidden states [ids.size(), E], a view
+  /// of `ws.x` valid until the workspace's next use.
+  [[nodiscard]] std::span<const float> forward_tokens(
+      partition::ForwardWorkspace& ws, std::span<const int> ids,
+      std::span<const partition::RowGroup> groups) const;
 
   /// Cache layout is precision-independent (the quantized block stores
   /// fake-quantized rows in the same float caches), so both executors

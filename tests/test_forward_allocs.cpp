@@ -1,0 +1,121 @@
+// Allocation bounds of the functional forward, measured with a counting
+// global operator new (this test is its own executable, so the counter
+// sees only this program). A forward into a warmed workspace allocates
+// nothing, and a steady-state decode step of a float tenant allocates a
+// small constant that does not grow with the batch, the layer count or
+// the chip count.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "model/config.hpp"
+#include "partition/distributed_block.hpp"
+#include "runtime/batched_engine.hpp"
+#include "runtime/deployment_spec.hpp"
+#include "runtime/inference_session.hpp"
+#include "runtime/model_registry.hpp"
+#include "util/rng.hpp"
+
+namespace {
+std::uint64_t g_allocs = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++g_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+using namespace distmcu;
+using model::TransformerConfig;
+using partition::ForwardWorkspace;
+using partition::RowGroup;
+using runtime::BatchedEngine;
+using runtime::DeploymentSpec;
+using runtime::InferenceSession;
+
+namespace {
+
+TransformerConfig decoder(int layers) {
+  auto cfg = TransformerConfig::tiny_llama_42m();
+  cfg.name = "decoder";
+  cfg.embed_dim = 32;
+  cfg.ffn_dim = 64;
+  cfg.num_heads = 4;
+  cfg.head_dim = 8;
+  cfg.num_layers = layers;
+  cfg.vocab_size = 128;
+  cfg.ar_context = 64;
+  cfg.prompt_len = 8;
+  cfg.validate();
+  return cfg;
+}
+
+DeploymentSpec spec(int layers, int chips) {
+  DeploymentSpec s;
+  s.model = decoder(layers);
+  s.chips = chips;
+  s.prefill_chunk_tokens = 4;
+  return s;
+}
+
+TEST(ForwardAllocs, WarmedForwardIntoExistingWorkspaceAllocatesNothing) {
+  const InferenceSession session(spec(2, 4));
+  const int e = session.config().embed_dim;
+  auto caches_a = session.make_chip_caches(session.config().ar_context);
+  auto caches_b = session.make_chip_caches(session.config().ar_context);
+  util::Rng rng(7);
+  std::vector<float> x(static_cast<std::size_t>(5 * e)), out(x.size());
+  for (float& v : x) v = rng.uniform(-1.0f, 1.0f);
+  ForwardWorkspace ws;
+  // A chunk of 4 rows for one request and a decode row for another.
+  const RowGroup groups[] = {{&caches_a, 0, 4}, {&caches_b, 0, 1}};
+  session.forward(ws, x, out, groups, 0);  // warm-up: the workspace grows
+
+  const RowGroup next[] = {{&caches_a, 4, 4}, {&caches_b, 1, 1}};
+  const std::uint64_t before = g_allocs;
+  session.forward(ws, x, out, next, 0);
+  EXPECT_EQ(g_allocs - before, 0u);
+
+  // The whole-stack path (embedding, every layer) too.
+  const std::vector<int> ids = {1, 2, 3, 4, 5};
+  const RowGroup third[] = {{&caches_a, 8, 4}, {&caches_b, 2, 1}};
+  (void)session.forward_tokens(ws, ids, third);
+  const RowGroup fourth[] = {{&caches_a, 12, 4}, {&caches_b, 3, 1}};
+  const std::uint64_t before_stack = g_allocs;
+  (void)session.forward_tokens(ws, ids, fourth);
+  EXPECT_EQ(g_allocs - before_stack, 0u);
+}
+
+/// Allocations of one steady-state decode step: `batch` requests are
+/// admitted and prefilled, one decode step warms up, then one decode
+/// step is counted.
+std::uint64_t steady_decode_step_allocs(int batch, int layers, int chips) {
+  auto registry = std::make_shared<runtime::ModelRegistry>();
+  (void)registry->add(spec(layers, chips));
+  BatchedEngine engine(*registry, {.total_kv_slots = batch});
+  for (int i = 0; i < batch; ++i) {
+    EXPECT_TRUE(engine.submit({.prompt = {1 + i, 2 + i, 3 + i}, .new_tokens = 40}).has_value());
+  }
+  // Admission + the single prefill chunk, then a warm-up decode step.
+  for (int s = 0; s < 3; ++s) EXPECT_TRUE(engine.step());
+  EXPECT_EQ(engine.active_requests(), batch);
+  const std::uint64_t before = g_allocs;
+  EXPECT_TRUE(engine.step());
+  return g_allocs - before;
+}
+
+TEST(ForwardAllocs, SteadyDecodeStepAllocatesASmallConstant) {
+  const std::uint64_t base = steady_decode_step_allocs(4, 2, 2);
+  EXPECT_LE(base, 8u);
+  EXPECT_EQ(steady_decode_step_allocs(8, 2, 2), base) << "grows with the batch";
+  EXPECT_EQ(steady_decode_step_allocs(4, 4, 2), base) << "grows with the layer count";
+  EXPECT_EQ(steady_decode_step_allocs(4, 2, 4), base) << "grows with the chip count";
+}
+
+}  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "kernels/attention.hpp"
@@ -76,6 +77,93 @@ TEST(Gemm, GemvEqualsSingleRowGemm) {
 TEST(Gemm, SizeMismatchThrows) {
   std::vector<float> a(4), b(4), c(3);
   EXPECT_THROW(k::gemm(a, b, c, 2, 2, 2), Error);
+}
+
+namespace {
+/// The row-at-a-time gemm every blocking of kernels::gemm must match bit
+/// for bit: bias, then products added in ascending p, zeros of A skipped.
+std::vector<float> gemm_by_rows(const std::vector<float>& a, const std::vector<float>& b,
+                                const std::vector<float>& bias, int m, int n, int kk) {
+  std::vector<float> c(static_cast<std::size_t>(m) * n);
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) c[i * n + j] = bias.empty() ? 0.0f : bias[j];
+    for (int p = 0; p < kk; ++p) {
+      const float av = a[i * kk + p];
+      if (av == 0.0f) continue;
+      for (int j = 0; j < n; ++j) c[i * n + j] += av * b[p * n + j];
+    }
+  }
+  return c;
+}
+
+bool same_bits(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+}  // namespace
+
+TEST(Gemm, EveryBlockingMatchesTheRowLoopBitForBit) {
+  // Row counts across the 4-row blocks and every leftover, widths across
+  // the 8- and 16-column tiles, their tails and the untiled wide path;
+  // A holds zeros (skipped) and negative zeros, and half the cases add
+  // a bias.
+  util::Rng rng(11);
+  for (const int m : {1, 2, 3, 4, 5, 7, 8, 9}) {
+    for (const int n : {1, 7, 8, 9, 16, 17, 24, 40, 128, 129, 200}) {
+      for (const int kk : {1, 5, 32}) {
+        std::vector<float> a(static_cast<std::size_t>(m) * kk), b(static_cast<std::size_t>(kk) * n);
+        for (float& v : a) {
+          const auto pick = rng.next_below(6);
+          v = pick == 0 ? 0.0f : pick == 1 ? -0.0f : rng.uniform(-1.0f, 1.0f);
+        }
+        for (float& v : b) v = rng.uniform(-1.0f, 1.0f);
+        std::vector<float> bias;
+        if ((m + n + kk) % 2 == 0) {
+          bias.resize(static_cast<std::size_t>(n));
+          for (float& v : bias) v = rng.uniform(-1.0f, 1.0f);
+        }
+        std::vector<float> c(static_cast<std::size_t>(m) * n);
+        k::gemm(a, b, c, m, n, kk, bias);
+        EXPECT_TRUE(same_bits(c, gemm_by_rows(a, b, bias, m, n, kk)))
+            << "m=" << m << " n=" << n << " k=" << kk;
+      }
+    }
+  }
+}
+
+TEST(Gemm, StridedViewsMatchDenseCopies) {
+  // A head slice of a wider buffer (ld > cols) gives the same bits as the
+  // same columns copied out densely, for gemm and gemm_nt alike.
+  util::Rng rng(12);
+  const int m = 5, kk = 70, n = 24, ld = 96, c0 = 16;
+  std::vector<float> wide(static_cast<std::size_t>(m) * ld), b(static_cast<std::size_t>(kk) * n);
+  for (float& v : wide) v = rng.uniform(-1.0f, 1.0f);
+  for (float& v : b) v = rng.uniform(-1.0f, 1.0f);
+  std::vector<float> dense(static_cast<std::size_t>(m) * kk);
+  for (int i = 0; i < m; ++i) {
+    for (int p = 0; p < kk; ++p) dense[i * kk + p] = wide[i * ld + c0 + p];
+  }
+  const k::ConstView view(wide.data() + c0, m, kk, ld);
+  std::vector<float> c1(static_cast<std::size_t>(m) * n), c2(c1.size());
+  k::gemm(view, k::ConstView(b, kk, n), k::View(c1, m, n));
+  k::gemm(dense, b, c2, m, n, kk);
+  EXPECT_TRUE(same_bits(c1, c2));
+
+  std::vector<float> bt(static_cast<std::size_t>(n) * kk);
+  for (float& v : bt) v = rng.uniform(-1.0f, 1.0f);
+  std::vector<float> d1(static_cast<std::size_t>(m) * n), d2(d1.size()), d3(d1.size());
+  k::gemm_nt(view, k::ConstView(bt, n, kk), k::View(d1, m, n));
+  k::gemm_nt(dense, bt, d2, m, n, kk);
+  EXPECT_TRUE(same_bits(d1, d2));
+  // gemm_nt's blocked dot products add in ascending p, like one scalar
+  // accumulator per element.
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (int p = 0; p < kk; ++p) acc += dense[i * kk + p] * bt[j * kk + p];
+      d3[i * n + j] = acc;
+    }
+  }
+  EXPECT_TRUE(same_bits(d1, d3));
 }
 
 TEST(Softmax, RowsSumToOne) {

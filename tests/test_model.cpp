@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "model/config.hpp"
@@ -131,6 +132,30 @@ TEST(Tensor, MaxAbsDiff) {
   EXPECT_THROW((void)Tensor::max_abs_diff(a, c), Error);
 }
 
+TEST(Tensor, MaxAbsDiffNeverSwallowsNonFinite) {
+  // std::max(mx, NaN) keeps mx, so a forward emitting NaN used to pass
+  // every tolerance check. A non-finite element that is not bit-identical
+  // on both sides now reads +inf.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  Tensor a(1, 3), b(1, 3);
+  a.at(0, 1) = nan;
+  EXPECT_EQ(Tensor::max_abs_diff(a, b), inf);
+  EXPECT_EQ(Tensor::max_abs_diff(b, a), inf);
+  b.at(0, 1) = nan;  // the same NaN bits on both sides
+  EXPECT_EQ(Tensor::max_abs_diff(a, b), 0.0f);
+  b.at(0, 1) = -nan;  // a NaN of another sign
+  EXPECT_EQ(Tensor::max_abs_diff(a, b), inf);
+  a.at(0, 1) = 0.0f;
+  b.at(0, 1) = 0.0f;
+  a.at(0, 2) = inf;
+  EXPECT_EQ(Tensor::max_abs_diff(a, b), inf);
+  b.at(0, 2) = inf;
+  EXPECT_EQ(Tensor::max_abs_diff(a, b), 0.0f);
+  b.at(0, 2) = -inf;
+  EXPECT_EQ(Tensor::max_abs_diff(a, b), inf);
+}
+
 TEST(Weights, DeterministicForSameSeed) {
   const auto cfg = small_llama();
   const Weights w1(cfg, 99), w2(cfg, 99);
@@ -164,10 +189,11 @@ TEST(KvCacheTest, AppendAndViews) {
   EXPECT_EQ(cache.k().size(), 12u);
   EXPECT_FLOAT_EQ(cache.k()[0], 1.0f);
   EXPECT_FLOAT_EQ(cache.v()[6], 4.0f);
-  const Tensor ks = cache.k_slice(2, 4);
-  EXPECT_EQ(ks.rows(), 2);
-  EXPECT_EQ(ks.cols(), 2);
-  EXPECT_FLOAT_EQ(ks.at(1, 0), 3.0f);
+  const auto ks = cache.k_view(2, 4);
+  EXPECT_EQ(ks.rows, 2);
+  EXPECT_EQ(ks.cols, 2);
+  EXPECT_EQ(ks.ld, 6);
+  EXPECT_FLOAT_EQ(ks.row(1)[0], 3.0f);
 }
 
 TEST(KvCacheTest, CapacityEnforced) {

@@ -27,28 +27,35 @@ void check_dims(int m, int n, int k) {
 }
 
 /// The row-at-a-time loop over columns [j0, j1) of rows [i0, i1):
-/// k-outer keeps B accesses sequential.
+/// k-outer keeps B accesses sequential. Raw pointers and strides, not
+/// views, so GCC vectorizes the column loop as tightly as a dense one.
 void gemm_rows(ConstView a, ConstView b, View c, const float* bias, int i0, int i1,
                int j0, int j1) {
+  const int k = a.cols;
+  const std::ptrdiff_t ldb = b.ld;
+  const int n = j1 - j0;
+  const float* b0 = b.data + j0;
   for (int i = i0; i < i1; ++i) {
-    float* crow = c.row(i);
-    for (int j = j0; j < j1; ++j) crow[j] = bias == nullptr ? 0.0f : bias[j];
+    float* crow = c.row(i) + j0;
     const float* arow = a.row(i);
-    for (int p = 0; p < a.cols; ++p) {
+    for (int j = 0; j < n; ++j) crow[j] = bias == nullptr ? 0.0f : bias[j0 + j];
+    for (int p = 0; p < k; ++p) {
       const float av = arow[p];
       if (av == 0.0f) continue;
-      const float* brow = b.row(p);
-      for (int j = j0; j < j1; ++j) crow[j] += av * brow[j];
+      const float* brow = b0 + p * ldb;
+      for (int j = 0; j < n; ++j) crow[j] += av * brow[j];
     }
   }
 }
 
 /// Rows [i, i + R) x columns [j, j + NB), accumulated in registers with
 /// the same per-element order and zero skip as gemm_rows. Raw pointers
-/// and strides, not views, so GCC keeps `acc` out of memory.
+/// and strides, not views; and always inlined, because GCC vectorizes
+/// this loop (keeping `acc` in registers) only where it is inlined.
 template <int R, int NB>
-void gemm_tile(const float* a, std::ptrdiff_t lda, const float* b, std::ptrdiff_t ldb,
-               float* c, std::ptrdiff_t ldc, int k, const float* bias) {
+[[gnu::always_inline]] inline void gemm_tile(const float* a, std::ptrdiff_t lda,
+                                             const float* b, std::ptrdiff_t ldb, float* c,
+                                             std::ptrdiff_t ldc, int k, const float* bias) {
   float acc[R][NB];
   for (int r = 0; r < R; ++r) {
     for (int t = 0; t < NB; ++t) acc[r][t] = bias == nullptr ? 0.0f : bias[t];
@@ -114,13 +121,20 @@ void gemm(ConstView a, ConstView b, View c, std::span<const float> bias) {
     return;
   }
   int i = 0;
-  for (; i + kRowBlock <= m; i += kRowBlock) gemm_row_block<kRowBlock, 8>(a, b, c, bz, i);
-  switch (m - i) {
-    case 3: gemm_row_block<3, 8>(a, b, c, bz, i); break;
-    case 2: gemm_row_block<2, 16>(a, b, c, bz, i); break;
-    case 1: gemm_row_block<1, 16>(a, b, c, bz, i); break;
-    default: break;
+  if (n % 16 == 0) {
+    // Rows of B split into whole 64-byte tiles: 2 x 16 blocks.
+    for (; i + 2 <= m; i += 2) gemm_row_block<2, 16>(a, b, c, bz, i);
+  } else {
+    for (; i + 4 <= m; i += 4) gemm_row_block<4, 8>(a, b, c, bz, i);
+    if (m - i == 3) {
+      gemm_row_block<3, 8>(a, b, c, bz, i);
+      i += 3;
+    } else if (m - i == 2) {
+      gemm_row_block<2, 16>(a, b, c, bz, i);
+      i += 2;
+    }
   }
+  if (i < m) gemm_row_block<1, 16>(a, b, c, bz, i);
 }
 
 void gemm_nt(ConstView a, ConstView b, View c) {
@@ -129,13 +143,16 @@ void gemm_nt(ConstView a, ConstView b, View c) {
   DISTMCU_CHECK(b.cols == k && c.rows == a.rows && c.cols == b.rows,
                 "gemm_nt: view shape mismatch");
   const int n = b.rows;
+  const std::ptrdiff_t ldb = b.ld;
   const int blocked = k >= kNtMinDepth ? n - n % kNtBlock : 0;
   for (int i = 0; i < a.rows; ++i) {
     const float* arow = a.row(i);
     float* crow = c.row(i);
-    for (int j = 0; j < blocked; j += kNtBlock) gemm_nt_block(arow, b.row(j), b.ld, crow + j, k);
+    for (int j = 0; j < blocked; j += kNtBlock) {
+      gemm_nt_block(arow, b.data + j * ldb, ldb, crow + j, k);
+    }
     for (int j = blocked; j < n; ++j) {
-      const float* brow = b.row(j);
+      const float* brow = b.data + j * ldb;
       float acc = 0.0f;
       for (int p = 0; p < k; ++p) acc += arow[p] * brow[p];
       crow[j] = acc;

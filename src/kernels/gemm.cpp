@@ -10,12 +10,13 @@ namespace distmcu::kernels {
 namespace {
 
 // Register blocking of gemm: R rows x NB columns of accumulators stay in
-// the 16 SSE registers of baseline x86-64 next to one B segment — 4 x 8
-// and 3 x 8 per row block, 2 x 16 and 1 x 16 (a single decode row) for
-// the rows left over. It wins where B rows are short (N <= 128: every
-// fleet shard and the per-chip Q/K/V projections); on wider B the
-// row-at-a-time loop streams as well, so it stays the only path there.
-constexpr int kRowBlock = 4;
+// the 16 SSE registers of baseline x86-64 next to one B segment. Widths
+// that are a multiple of 16 take 2 x 16 blocks (each pass reads whole
+// 64-byte lines of B); other widths take 4 x 8 and 3 x 8 blocks, with
+// 2 x 16 for two rows left over; a single row takes 1 x 16. It wins
+// where B rows are short (N <= 128: every fleet shard and the per-chip
+// Q/K/V projections); on wider B the row-at-a-time loop streams as
+// well, so it stays the only path there.
 constexpr int kMaxTiledCols = 128;
 // gemm_nt keeps 8 independent dot products in flight per A row once
 // they are long enough to pay for it (the 512-deep LM head: ~1.8x).
@@ -122,7 +123,6 @@ void gemm(ConstView a, ConstView b, View c, std::span<const float> bias) {
   }
   int i = 0;
   if (n % 16 == 0) {
-    // Rows of B split into whole 64-byte tiles: 2 x 16 blocks.
     for (; i + 2 <= m; i += 2) gemm_row_block<2, 16>(a, b, c, bz, i);
   } else {
     for (; i + 4 <= m; i += 4) gemm_row_block<4, 8>(a, b, c, bz, i);

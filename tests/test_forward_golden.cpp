@@ -161,12 +161,22 @@ TransformerConfig int8_bert() {
   return cfg;
 }
 
+/// Pre-norm variant of the fleet decoder.
+TransformerConfig prenorm_fleet() {
+  auto cfg = fleet_llama();
+  cfg.name = "prenormfleet";
+  cfg.pre_norm = true;
+  cfg.validate();
+  return cfg;
+}
+
 struct Deployment {
   const char* key;
   TransformerConfig (*model)();
   int chips;
   bool int8;
   int chunk;
+  runtime::KvLayout kv = runtime::KvLayout::int8;  // int8 deployments only
 };
 
 const Deployment kDeployments[] = {
@@ -179,6 +189,8 @@ const Deployment kDeployments[] = {
     {"mobilebert c4", mobilebert, 4, false, 8},
     {"swiglu c3", swiglu, 3, false, 2},
     {"int8bert c4", int8_bert, 4, true, 16},
+    {"int8 uneven c3", uneven_llama, 3, true, 3},
+    {"int8 prenorm fleet c2", prenorm_fleet, 2, true, 4, runtime::KvLayout::int4},
 };
 
 DeploymentSpec spec_of(const Deployment& d) {
@@ -188,7 +200,7 @@ DeploymentSpec spec_of(const Deployment& d) {
   spec.prefill_chunk_tokens = d.chunk;
   if (d.int8) {
     spec.precision = runtime::Precision::int8;
-    spec.kv_layout = runtime::KvLayout::int8;
+    spec.kv_layout = d.kv;
   }
   return spec;
 }
@@ -316,7 +328,7 @@ std::vector<std::string> engine_lines() {
     (void)reg->add(spec);
     return std::make_pair(reg, opts);
   };
-  // Chunked prefill, 1-8 concurrent requests, on every float decoder.
+  // Chunked prefill, 1-8 concurrent requests, on every decoder.
   for (const Deployment& d : kDeployments) {
     const DeploymentSpec spec = spec_of(d);
     if (bidirectional(spec.model)) continue;
@@ -372,35 +384,36 @@ std::vector<std::string> engine_lines() {
   }
   // Preemption: a best-effort long request is checkpointed out of the only
   // slot for a deadline request, then resumed.
+  const auto preempt = [&](const Deployment& d, int chunk) {
+    DeploymentSpec spec = spec_of(d);
+    spec.prefill_chunk_tokens = chunk;
+    const InferenceSession probe(spec);
+    const auto layers = static_cast<Cycles>(spec.model.num_layers);
+    const auto ar = probe.run_block(model::Mode::autoregressive);
+    const Cycles per_req =
+        (ar.report.block_cycles - ar.report.breakdown.dma_l3_l2) * layers;
+    const Cycles prefill = probe.run_block(model::Mode::prompt).report.block_cycles * layers;
+    auto [reg, opts] =
+        single(spec, {.total_kv_slots = 1,
+                      .max_pending = 8,
+                      .scheduler = std::make_shared<runtime::EdfScheduler>(),
+                      .preemption = std::make_shared<runtime::DeadlineAwarePreemption>()});
+    BatchedEngine engine(*reg, opts);
+    const int vocab = spec.model.vocab_size;
+    const int ctx = spec.model.ar_context;
+    EXPECT_TRUE(engine.submit({.prompt = prompt_of(2, 1, vocab), .new_tokens = ctx - 4})
+                    .has_value());
+    EXPECT_TRUE(engine.step());
+    EXPECT_TRUE(engine.step());
+    const std::vector<Submit> urgent = {
+        {0, prompt_of(2, 2, vocab), 2,
+         {.priority = 0, .deadline_cycles = 2 * prefill + 4 * per_req}}};
+    lines.push_back(std::string("engine preempt ") + d.key + " chunk" +
+                    std::to_string(chunk) + " | " + engine_digest(engine, urgent));
+    EXPECT_GE(engine.stats().preemptions, 1) << d.key;
+  };
   for (const Deployment& d : {kDeployments[2], kDeployments[7]}) {
-    for (const int chunk : {0, d.chunk}) {
-      DeploymentSpec spec = spec_of(d);
-      spec.prefill_chunk_tokens = chunk;
-      const InferenceSession probe(spec);
-      const auto layers = static_cast<Cycles>(spec.model.num_layers);
-      const auto ar = probe.run_block(model::Mode::autoregressive);
-      const Cycles per_req =
-          (ar.report.block_cycles - ar.report.breakdown.dma_l3_l2) * layers;
-      const Cycles prefill = probe.run_block(model::Mode::prompt).report.block_cycles * layers;
-      auto [reg, opts] =
-          single(spec, {.total_kv_slots = 1,
-                        .max_pending = 8,
-                        .scheduler = std::make_shared<runtime::EdfScheduler>(),
-                        .preemption = std::make_shared<runtime::DeadlineAwarePreemption>()});
-      BatchedEngine engine(*reg, opts);
-      const int vocab = spec.model.vocab_size;
-      const int ctx = spec.model.ar_context;
-      EXPECT_TRUE(engine.submit({.prompt = prompt_of(2, 1, vocab), .new_tokens = ctx - 4})
-                      .has_value());
-      EXPECT_TRUE(engine.step());
-      EXPECT_TRUE(engine.step());
-      const std::vector<Submit> urgent = {
-          {0, prompt_of(2, 2, vocab), 2,
-           {.priority = 0, .deadline_cycles = 2 * prefill + 4 * per_req}}};
-      lines.push_back(std::string("engine preempt ") + d.key + " chunk" +
-                      std::to_string(chunk) + " | " + engine_digest(engine, urgent));
-      EXPECT_GE(engine.stats().preemptions, 1) << d.key;
-    }
+    for (const int chunk : {0, d.chunk}) preempt(d, chunk);
   }
   // Two tenants in one engine: a float decoder next to the int8 encoder.
   {
@@ -417,6 +430,8 @@ std::vector<std::string> engine_lines() {
     }
     lines.push_back("engine mixed fleet c4 + int8bert c4 x8 | " + engine_digest(engine, wave));
   }
+  // An int8 decoder: preemption checkpoints and resumes fake-quantized KV.
+  preempt(kDeployments[9], kDeployments[9].chunk);
   return lines;
 }
 

@@ -47,9 +47,20 @@ struct RowGroup {
 /// left to the caller (the layer stream and the LM head).
 struct ForwardWorkspace {
   std::vector<float> x, y, logits;
-  std::vector<float> normed, h, q, k, v, ctx, scores, hidden, gate;
+  std::vector<float> normed, h, q, k, v, scores, hidden, gate;
+  std::vector<std::vector<float>> ctx;       // one [rows, pw] context per chip
   std::vector<std::vector<float>> partials;  // one [rows, E] buffer per chip
   std::vector<std::span<float>> views;       // the partials, for the collectives
+  /// A8W8 only: the int8 FFN input and GEMM activations, the W1
+  /// accumulator and one int32 [rows, E] partial per chip. Per group:
+  /// the scale of the int8 activations whose partials are reduced (WO's
+  /// context, W2's hidden), their dequantization scale (times the
+  /// weight's), and W1's dequantization scale.
+  std::vector<std::int8_t> x8, a8;
+  std::vector<std::int32_t> acc;
+  std::vector<std::vector<std::int32_t>> int_partials;
+  std::vector<std::span<std::int32_t>> int_views;
+  std::vector<float> act_scale, deq_scale, w1_deq_scale;
   /// RoPE angles of positions [0, rope_positions) for one head width
   /// and base (kernels::rope_table layout), extended on demand.
   std::vector<float> rope;
@@ -57,8 +68,9 @@ struct ForwardWorkspace {
   int rope_head_dim = 0;
   float rope_base = 0.0f;
 
-  /// The first `n` floats of `buf`, growing it when it is shorter.
-  static std::span<float> take(std::vector<float>& buf, std::size_t n) {
+  /// The first `n` elements of `buf`, growing it when it is shorter.
+  template <typename T>
+  static std::span<T> take(std::vector<T>& buf, std::size_t n) {
     if (buf.size() < n) buf.resize(n);
     return {buf.data(), n};
   }
@@ -79,14 +91,26 @@ struct ForwardWorkspace {
 /// Exactly two reduce+broadcast synchronizations per block; no weight is
 /// present on more than one chip. Every test of the partitioning scheme
 /// validates this class against the single-chip ReferenceModel.
+///
+/// Given an Int8Weights set the block runs A8W8 instead, with token
+/// streams bit-exact for any chip count and any reduce-tree shape:
+///  * QKV, RoPE and attention stay float (each head touches only its own
+///    weight columns and KV slice, so regrouping heads cannot change a
+///    value); with kv_bits <= 8 each appended K/V row is fake-quantized
+///    per head sub-slice (a per-row scale would mix a chip's heads);
+///  * WO, W1 and W2 are int8 GEMMs whose int32 partials all-reduce
+///    exactly. Each row group quantizes its activations with one scale
+///    of its own, over every chip's rows (a global absmax), so stacking
+///    groups changes no bit;
+///  * the root dequantizes, folds the skip in and normalizes in float.
 class DistributedBlock {
  public:
   /// `weights` provides the (root-resident) norm parameters; the matmul
-  /// weights come exclusively from `shards`. All references must outlive
-  /// the block.
+  /// weights come exclusively from `shards`, or for WO/W1/W2 from `int8`
+  /// when it is non-null. All references must outlive the block.
   DistributedBlock(const model::TransformerConfig& cfg, const model::Weights& weights,
                    const ShardedWeights& shards, const PartitionPlan& plan,
-                   const noc::Topology& topo);
+                   const noc::Topology& topo, const Int8Weights* int8 = nullptr);
 
   /// Execute one block over a stack of row groups: `x` [rows, E] holds
   /// the groups' inputs back to back (logically broadcast to all chips)
@@ -113,12 +137,14 @@ class DistributedBlock {
   [[nodiscard]] const noc::Topology& topology() const { return topo_; }
 
  private:
-  /// Chip `chip`'s partial MHSA output [rows, E] into `partial`.
-  void mhsa_partial(ForwardWorkspace& ws, std::span<const float> x, int chip, int layer,
-                    std::span<const RowGroup> groups, std::span<float> partial) const;
-  /// Chip `chip`'s partial FFN output [rows, E] into `partial`.
-  void ffn_partial(ForwardWorkspace& ws, std::span<const float> h, int chip, int layer,
-                   std::span<float> partial) const;
+  /// Chip `chip`'s attention context [rows, pw] into `ws.ctx[chip]`.
+  void attend(ForwardWorkspace& ws, std::span<const float> x, int chip, int layer,
+              std::span<const RowGroup> groups) const;
+  /// Every chip's WO partial [rows, E] from its context.
+  void wo_partials(ForwardWorkspace& ws, std::span<const RowGroup> groups, int layer) const;
+  /// Every chip's FFN partial [rows, E] from the broadcast input `h`.
+  void ffn_partials(ForwardWorkspace& ws, std::span<const float> h,
+                    std::span<const RowGroup> groups, int layer) const;
   void root_norm(std::span<const float> x, const model::Tensor& gamma,
                  const model::Tensor& beta, std::span<float> out) const;
   void apply_activation(std::span<float> t) const;
@@ -128,7 +154,7 @@ class DistributedBlock {
   /// Reduce the per-chip partials (tree order) and merge the skip
   /// tensor; the result lands in the root's partial. Records comm stats.
   void reduce_with_skip(ForwardWorkspace& ws, std::span<const float> skip,
-                        CommRecord* comm) const;
+                        std::span<const RowGroup> groups, CommRecord* comm) const;
   void record_broadcast(std::uint64_t elems, CommRecord* comm) const;
 
   const model::TransformerConfig& cfg_;
@@ -136,6 +162,7 @@ class DistributedBlock {
   const ShardedWeights& shards_;
   const PartitionPlan& plan_;
   const noc::Topology& topo_;
+  const Int8Weights* int8_;
 };
 
 }  // namespace distmcu::partition

@@ -1,5 +1,7 @@
 #include "partition/sharder.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace distmcu::partition {
@@ -43,6 +45,37 @@ std::uint64_t ShardedWeights::layer_elem_sum(int layer) const {
   std::uint64_t sum = 0;
   for (int c = 0; c < n_chips_; ++c) sum += shard(c, layer).num_elems();
   return sum;
+}
+
+Int8Weights::Int8Weights(const model::TransformerConfig& cfg, const ShardedWeights& shards,
+                         int kv_bits)
+    : kv_bits_(kv_bits), n_chips_(shards.num_chips()) {
+  DISTMCU_CHECK(cfg.ffn == model::FfnKind::mlp,
+                "Int8Weights: only the plain MLP FFN is supported");
+  const int n = n_chips_;
+  layers_.reserve(static_cast<std::size_t>(shards.num_layers()));
+  for (int l = 0; l < shards.num_layers(); ++l) {
+    float wo_absmax = 0.0f;
+    float w1_absmax = 0.0f;
+    float w2_absmax = 0.0f;
+    for (int c = 0; c < n; ++c) {
+      const WeightShard& s = shards.shard(c, l);
+      wo_absmax = std::max(wo_absmax, quant::absmax(s.wo.span()));
+      w1_absmax = std::max(w1_absmax, quant::absmax(s.w1.span()));
+      w2_absmax = std::max(w2_absmax, quant::absmax(s.w2.span()));
+    }
+    Int8Layer& layer = layers_.emplace_back();
+    layer.wo = quant::QuantParams::from_absmax(wo_absmax, quant::kInt8Bits);
+    layer.w1 = quant::QuantParams::from_absmax(w1_absmax, quant::kInt8Bits);
+    layer.w2 = quant::QuantParams::from_absmax(w2_absmax, quant::kInt8Bits);
+    layer.chips.reserve(static_cast<std::size_t>(n));
+    for (int c = 0; c < n; ++c) {
+      const WeightShard& s = shards.shard(c, l);
+      layer.chips.push_back({quant::quantize_i8(s.wo.span(), layer.wo),
+                             quant::quantize_i8(s.w1.span(), layer.w1),
+                             quant::quantize_i8(s.w2.span(), layer.w2)});
+    }
+  }
 }
 
 }  // namespace distmcu::partition

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/check.hpp"
 
@@ -15,10 +16,14 @@ QuantParams QuantParams::from_absmax(float absmax, int bits) {
   return p;
 }
 
+float absmax(std::span<const float> data) {
+  float m = 0.0f;
+  for (const float v : data) m = std::max(m, std::fabs(v));
+  return m;
+}
+
 QuantParams choose_params(std::span<const float> data, int bits) {
-  float absmax = 0.0f;
-  for (const float v : data) absmax = std::max(absmax, std::fabs(v));
-  return QuantParams::from_absmax(absmax, bits);
+  return QuantParams::from_absmax(absmax(data), bits);
 }
 
 namespace {
@@ -33,10 +38,16 @@ Int saturate_round(float v, float scale) {
 
 std::vector<std::int8_t> quantize_i8(std::span<const float> data, const QuantParams& p) {
   std::vector<std::int8_t> out(data.size());
+  quantize_i8(data, p, out);
+  return out;
+}
+
+void quantize_i8(std::span<const float> data, const QuantParams& p,
+                 std::span<std::int8_t> out) {
+  DISTMCU_CHECK(data.size() == out.size(), "quantize_i8: size mismatch");
   for (std::size_t i = 0; i < data.size(); ++i) {
     out[i] = saturate_round<std::int8_t>(data[i], p.scale);
   }
-  return out;
 }
 
 std::vector<std::int16_t> quantize_i16(std::span<const float> data,
@@ -61,6 +72,17 @@ void dequantize(std::span<const std::int16_t> q, const QuantParams& p,
   DISTMCU_CHECK(q.size() == out.size(), "dequantize: size mismatch");
   for (std::size_t i = 0; i < q.size(); ++i) {
     out[i] = static_cast<float>(q[i]) * p.scale;
+  }
+}
+
+void fake_quantize(std::span<float> data, int bits) {
+  const float m = absmax(data);
+  if (m <= 0.0f) return;
+  const float qmax = static_cast<float>((1 << (bits - 1)) - 1);
+  const float scale = m / qmax;
+  for (float& x : data) {
+    const float q = std::clamp(std::nearbyintf(x / scale), -qmax, qmax);
+    x = q * scale;
   }
 }
 

@@ -587,13 +587,15 @@ BatchedEngine::PagedAdmitPlan BatchedEngine::plan_paged_admission(
 }
 
 bool BatchedEngine::can_grant_pages(
-    ModelId m, std::vector<KvBudgetPolicy::TenantView> views, int free_pages,
-    int n) const {
+    ModelId m, const std::vector<KvBudgetPolicy::TenantView>& snapshot,
+    int free_pages, int n) const {
   // Simulate n sequential grants exactly the way admission acquires
   // them: each grant advances the tenant's occupancy and re-asks the
   // policy, so a policy that would cut the tenant off mid-way refuses
   // the whole admission (a half-admitted request would deadlock).
   const Tenant& t = tenants_[static_cast<std::size_t>(m)];
+  std::vector<KvBudgetPolicy::TenantView>& views = grant_views_;
+  views.assign(snapshot.begin(), snapshot.end());
   auto& v = views[static_cast<std::size_t>(m)];
   for (int i = 0; i < n; ++i) {
     if (free_pages <= 0 || v.in_use >= t.cap) return false;
@@ -1632,13 +1634,8 @@ void BatchedEngine::subphase_chunked(ModelId m, int step_idx,
   // completing its final chunk joins this step's token commit (its
   // prefill output IS its first forward, mirroring the serial mode and
   // generate()).
-  struct ChunkRun {
-    std::size_t req;  // index into active_
-    int chunk;        // chunk position (indexes chunk_costs)
-    bool first;       // the request's first chunk (admission point)
-  };
-  std::vector<ChunkRun> chunk_runs;
-  chunk_runs.reserve(active_.size());
+  std::vector<ChunkRun>& chunk_runs = t.chunk_runs;
+  chunk_runs.clear();
   for (std::size_t i = 0; i < active_.size(); ++i) {
     Inflight& r = active_[i];
     if (r.model != m || r.prefill_done()) continue;
@@ -1672,10 +1669,10 @@ void BatchedEngine::subphase_chunked(ModelId m, int step_idx,
     }
   }
 
-  std::vector<std::size_t> decode_runs;  // ran a decode forward this step
-  std::vector<std::size_t> finishers;    // leave at this boundary
-  decode_runs.reserve(active_.size());
-  finishers.reserve(active_.size());
+  std::vector<std::size_t>& decode_runs = t.decode_runs;  // ran a decode forward
+  std::vector<std::size_t>& finishers = t.finishers;      // leave at this boundary
+  decode_runs.clear();
+  finishers.clear();
   for (std::size_t i = 0; i < active_.size(); ++i) {
     Inflight& r = active_[i];
     if (r.model != m || !r.prefill_done()) continue;

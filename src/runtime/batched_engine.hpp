@@ -623,6 +623,13 @@ class BatchedEngine {
     Bytes l3_bytes = 0;  // real traffic, for trace fidelity
   };
 
+  /// One request's prompt chunk in a chunked step.
+  struct ChunkRun {
+    std::size_t req;  // index into active_
+    int chunk;        // chunk position (indexes chunk_costs)
+    bool first;       // the request's first chunk (admission point)
+  };
+
   /// One deployed model's serving state: its session, its block-program
   /// cost decomposition, its KvCachePool, and its staged-weights
   /// prefetch channel. Index in tenants_ == ModelId == SlotArena tenant
@@ -718,6 +725,11 @@ class BatchedEngine {
     std::vector<partition::RowGroup> stack_groups;
     std::vector<int> stack_ids;
     std::vector<int> stack_next;
+    /// A chunked step's prompt chunks, decode rows and finishers (indices
+    /// into active_), kept so a steady step does not allocate them.
+    std::vector<ChunkRun> chunk_runs;
+    std::vector<std::size_t> decode_runs;
+    std::vector<std::size_t> finishers;
   };
 
   /// Per-tenant bound on registered prompt prefixes; beyond it the
@@ -785,7 +797,7 @@ class BatchedEngine {
   /// sequence from the snapshot (each grant re-asks the policy with the
   /// occupancy advanced, mirroring how admission actually acquires).
   [[nodiscard]] bool can_grant_pages(
-      ModelId m, std::vector<KvBudgetPolicy::TenantView> views,
+      ModelId m, const std::vector<KvBudgetPolicy::TenantView>& snapshot,
       int free_pages, int n) const;
   /// Acquire one budget page for tenant `m`, dropping LRU prefix-cache
   /// entries (their pages are the only reclaimable occupancy) until the
@@ -933,6 +945,8 @@ class BatchedEngine {
   Rejection last_rejection_ = Rejection::none;
   /// Requests dropped by fair load shedding, in shed order.
   std::vector<RequestId> shed_ids_;
+  /// can_grant_pages' copy of the budget snapshot, reused across calls.
+  mutable std::vector<KvBudgetPolicy::TenantView> grant_views_;
 
   /// Step timeline: every model's decode compute races its next weight
   /// stream on its own staged channel; all DMAs serialize on the one

@@ -6,7 +6,7 @@
 // quota, ...) tuple that ModelRegistry::add used to take, and carries
 // the two per-deployment precision knobs end to end — the arithmetic
 // Precision the block program runs at and the packed KvLayout its KV
-// pages are accounted (and, for int8 blocks, actually stored) in.
+// pages are accounted (and, for int8 deployments, actually stored) in.
 
 #include <cstdint>
 #include <string>
@@ -33,12 +33,13 @@ namespace distmcu::runtime {
 struct DeploymentSpec {
   model::TransformerConfig model;
   int chips = 1;
-  /// Arithmetic precision of the block program; int8 routes the FFN and
-  /// attention-output GEMMs through quant::int_kernels with int32
-  /// all-reduce partials and prices the cost model at int8 rates.
+  /// Arithmetic precision of the block program; int8 gives the block an
+  /// int8 weight set, so its FFN and attention-output GEMMs run through
+  /// quant::int_kernels with int32 all-reduce partials, and prices the
+  /// cost model at int8 rates.
   Precision precision = Precision::fp16;
-  /// KV-entry storage layout; packed int8/int4 require an int8 block
-  /// (the float block has no quantized append path to honor them).
+  /// KV-entry storage layout; packed int8/int4 require an int8
+  /// deployment (only its block fake-quantizes the rows it appends).
   KvLayout kv_layout = KvLayout::native;
   /// Prefill mode: 0 = serial whole-prompt at admission; > 0 = chunked
   /// prefill co-scheduled with decode in chunks of this many tokens.
@@ -59,9 +60,9 @@ struct DeploymentSpec {
   }
 
   /// Throws distmcu::Error on an inconsistent spec. The precision rules
-  /// mirror what the quantized block can actually honor: packed KV
-  /// layouts need the int8 append path, and the int8 FFN decomposition
-  /// is defined for the classic two-matrix MLP only.
+  /// mirror what the int8 block can actually honor: packed KV layouts
+  /// need its fake-quantizing append, and its FFN decomposition is
+  /// defined for the classic two-matrix MLP only.
   void validate() const {
     model.validate();
     DISTMCU_CHECK(chips >= 1, "DeploymentSpec: chips must be >= 1");

@@ -36,8 +36,10 @@ InferenceSession::InferenceSession(const DeploymentSpec& spec)
   precision_ = spec.precision;
   kv_layout_ = spec.kv_layout;
   if (precision_ == Precision::int8) {
-    qblock_ = std::make_unique<quant::QuantizedBlock>(cfg_, weights_, shards_, plan_,
-                                                      topo_, kv_elem_bits());
+    // The int8 weight set is the precision: the block given it runs A8W8.
+    int8_ = std::make_unique<partition::Int8Weights>(cfg_, shards_, kv_elem_bits());
+    block_ = std::make_unique<partition::DistributedBlock>(cfg_, weights_, shards_, plan_,
+                                                           topo_, int8_.get());
   }
 }
 
@@ -94,24 +96,7 @@ void InferenceSession::forward(partition::ForwardWorkspace& ws, std::span<const 
                                std::span<float> out,
                                std::span<const partition::RowGroup> groups,
                                int layer) const {
-  if (qblock_ == nullptr) {
-    block_->forward(ws, x, out, groups, layer);
-    return;
-  }
-  const auto e = static_cast<std::size_t>(cfg_.embed_dim);
-  std::size_t row0 = 0;
-  for (const partition::RowGroup& g : groups) {
-    model::Tensor xg(g.rows, cfg_.embed_dim);
-    const auto n = static_cast<std::size_t>(g.rows) * e;
-    const auto first = x.begin() + static_cast<std::ptrdiff_t>(row0 * e);
-    std::copy(first, first + static_cast<std::ptrdiff_t>(n), xg.span().begin());
-    const model::Tensor yg = qblock_->forward(xg, layer, g.caches, g.pos_offset);
-    std::copy(yg.span().begin(), yg.span().end(),
-              out.begin() + static_cast<std::ptrdiff_t>(row0 * e));
-    row0 += static_cast<std::size_t>(g.rows);
-  }
-  DISTMCU_CHECK(row0 * e == x.size() && x.size() == out.size(),
-                "InferenceSession::forward: input/output size != group rows * E");
+  block_->forward(ws, x, out, groups, layer);
 }
 
 model::Tensor InferenceSession::forward(

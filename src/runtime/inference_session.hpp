@@ -15,7 +15,6 @@
 #include "partition/memory_planner.hpp"
 #include "partition/plan.hpp"
 #include "partition/sharder.hpp"
-#include "quant/quantized_block.hpp"
 #include "runtime/deployment_spec.hpp"
 #include "runtime/precision.hpp"
 #include "runtime/timed_simulation.hpp"
@@ -76,8 +75,8 @@ class InferenceSession {
   /// Build from a DeploymentSpec: validates the spec, applies its
   /// declared Precision to the platform numerics (an int8 spec prices
   /// the cost model at 1-byte-weight / int8-MAC rates), and — for int8
-  /// specs — instantiates the quantized block executor the forward
-  /// dispatch below routes through.
+  /// specs — quantizes the shards into the int8 weight set that makes
+  /// the block run A8W8.
   explicit InferenceSession(const DeploymentSpec& spec);
 
   /// The paper's measurement: one Transformer block in `mode`.
@@ -128,14 +127,11 @@ class InferenceSession {
                           static_cast<int>(sys_.precision.kv_bytes) * kBitsPerByte);
   }
 
-  /// Precision-dispatched block execution of a stack of row groups (see
-  /// partition::DistributedBlock::forward): `x` and `out` are [rows, E]
-  /// with the groups' rows back to back. Float deployments run the whole
-  /// stack at once in `ws`; int8 deployments run one quantized-block call
-  /// per group, because their dynamic activation scales are per tensor
-  /// and stacking would change them. All serving-path forwards (engine,
-  /// generate, encode) go through here so precision cannot be bypassed
-  /// per call site.
+  /// Block execution of a stack of row groups at the deployment's
+  /// precision (see partition::DistributedBlock::forward): `x` and `out`
+  /// are [rows, E] with the groups' rows back to back, run at once in
+  /// `ws`. All serving-path forwards (engine, generate, encode) go
+  /// through here.
   void forward(partition::ForwardWorkspace& ws, std::span<const float> x,
                std::span<float> out, std::span<const partition::RowGroup> groups,
                int layer) const;
@@ -153,9 +149,8 @@ class InferenceSession {
       partition::ForwardWorkspace& ws, std::span<const int> ids,
       std::span<const partition::RowGroup> groups) const;
 
-  /// Cache layout is precision-independent (the quantized block stores
-  /// fake-quantized rows in the same float caches), so both executors
-  /// share the float block's geometry.
+  /// Cache layout is precision-independent: an int8 block stores its
+  /// fake-quantized rows in the same float caches.
   [[nodiscard]] std::vector<std::vector<model::KvCache>> make_chip_caches(
       int capacity) const {
     return block_->make_chip_caches(capacity);
@@ -169,8 +164,8 @@ class InferenceSession {
   partition::PartitionPlan plan_;
   partition::ShardedWeights shards_;
   noc::Topology topo_;
+  std::unique_ptr<partition::Int8Weights> int8_;  // int8 deployments only
   std::unique_ptr<partition::DistributedBlock> block_;
-  std::unique_ptr<quant::QuantizedBlock> qblock_;  // int8 deployments only
   Precision precision_ = Precision::fp16;
   KvLayout kv_layout_ = KvLayout::native;
   TimedBlockSimulation sim_;

@@ -18,18 +18,20 @@ namespace distmcu::runtime {
 /// Arithmetic precision a deployment's block program runs at.
 ///  * fp16: the seed float path — DistributedBlock numerics, the
 ///    platform's default PrecisionConfig (2-byte weights, int16 MACs).
-///  * int8: the paper's shipped A8W8 path — FFN and attention-output
-///    GEMMs through quant::int_kernels with int32 all-reduce partials
-///    (reduction-order-invariant, so token streams are bit-exact under
-///    any tree shape or chip count), 1-byte weights, int8-rate MACs.
+///  * int8: the paper's shipped A8W8 path — the same DistributedBlock
+///    forward given a partition::Int8Weights set: FFN and
+///    attention-output GEMMs through quant::int_kernels with int32
+///    all-reduce partials (reduction-order-invariant, so token streams
+///    are bit-exact under any tree shape or chip count), 1-byte
+///    weights, int8-rate MACs.
 enum class Precision { fp16, int8 };
 
 inline constexpr int kBitsPerByte = 8;  // lint-domain: allow
 
 /// Storage layout of a deployment's KV-cache entries, orthogonal to the
 /// arithmetic precision (an int8 deployment may keep fp16 KV and vice
-/// versa is rejected — packed layouts require the int8 block, whose
-/// append path actually quantizes the rows it stores).
+/// versa is rejected — packed layouts require an int8 deployment, whose
+/// block actually quantizes the rows it appends).
 ///  * native: whatever the platform PrecisionConfig::kv_bytes says —
 ///    byte-identical accounting to the pre-precision engine.
 ///  * fp16 / int8 / int4: explicit per-entry widths; pages and slots

@@ -1,9 +1,9 @@
 // Allocation bounds of the functional forward, measured with a counting
 // global operator new (this test is its own executable, so the counter
 // sees only this program). A forward into a warmed workspace allocates
-// nothing, and a steady-state decode step of a float tenant allocates a
-// small constant that does not grow with the batch, the layer count or
-// the chip count.
+// nothing, and a steady-state decode step allocates a small constant
+// that does not grow with the batch, the layer count or the chip count.
+// Both hold for float and for int8 (A8W8) deployments.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -56,16 +56,22 @@ TransformerConfig decoder(int layers) {
   return cfg;
 }
 
-DeploymentSpec spec(int layers, int chips) {
+DeploymentSpec spec(int layers, int chips, bool int8 = false) {
   DeploymentSpec s;
   s.model = decoder(layers);
   s.chips = chips;
   s.prefill_chunk_tokens = 4;
+  if (int8) {
+    s.precision = runtime::Precision::int8;
+    s.kv_layout = runtime::KvLayout::int8;
+  }
   return s;
 }
 
-TEST(ForwardAllocs, WarmedForwardIntoExistingWorkspaceAllocatesNothing) {
-  const InferenceSession session(spec(2, 4));
+/// Allocations of a warmed forward (a chunk group plus a decode group)
+/// and of a warmed forward_tokens over the same two requests.
+void expect_warmed_forwards_allocate_nothing(bool int8) {
+  const InferenceSession session(spec(2, 4, int8));
   const int e = session.config().embed_dim;
   auto caches_a = session.make_chip_caches(session.config().ar_context);
   auto caches_b = session.make_chip_caches(session.config().ar_context);
@@ -92,12 +98,21 @@ TEST(ForwardAllocs, WarmedForwardIntoExistingWorkspaceAllocatesNothing) {
   EXPECT_EQ(g_allocs - before_stack, 0u);
 }
 
+TEST(ForwardAllocs, WarmedForwardIntoExistingWorkspaceAllocatesNothing) {
+  expect_warmed_forwards_allocate_nothing(false);
+}
+
+TEST(ForwardAllocs, WarmedInt8ForwardAllocatesNothing) {
+  expect_warmed_forwards_allocate_nothing(true);
+}
+
 /// Allocations of one steady-state decode step: `batch` requests are
 /// admitted and prefilled, one decode step warms up, then one decode
 /// step is counted.
-std::uint64_t steady_decode_step_allocs(int batch, int layers, int chips) {
+std::uint64_t steady_decode_step_allocs(int batch, int layers, int chips,
+                                        bool int8 = false) {
   auto registry = std::make_shared<runtime::ModelRegistry>();
-  (void)registry->add(spec(layers, chips));
+  (void)registry->add(spec(layers, chips, int8));
   BatchedEngine engine(*registry, {.total_kv_slots = batch});
   for (int i = 0; i < batch; ++i) {
     EXPECT_TRUE(engine.submit({.prompt = {1 + i, 2 + i, 3 + i}, .new_tokens = 40}).has_value());
@@ -116,6 +131,14 @@ TEST(ForwardAllocs, SteadyDecodeStepAllocatesASmallConstant) {
   EXPECT_EQ(steady_decode_step_allocs(8, 2, 2), base) << "grows with the batch";
   EXPECT_EQ(steady_decode_step_allocs(4, 4, 2), base) << "grows with the layer count";
   EXPECT_EQ(steady_decode_step_allocs(4, 2, 4), base) << "grows with the chip count";
+}
+
+TEST(ForwardAllocs, SteadyInt8DecodeStepAllocatesASmallConstant) {
+  const std::uint64_t base = steady_decode_step_allocs(4, 2, 2, true);
+  EXPECT_LE(base, 8u);
+  EXPECT_EQ(steady_decode_step_allocs(8, 2, 2, true), base) << "grows with the batch";
+  EXPECT_EQ(steady_decode_step_allocs(4, 4, 2, true), base) << "grows with the layer count";
+  EXPECT_EQ(steady_decode_step_allocs(4, 2, 4, true), base) << "grows with the chip count";
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 // mixed-precision attribution, the DeploymentSpec registration surface
 // (validation, session ownership outliving the registry), the unified
 // submit(Request) surface with its legacy forwarding overloads, and
-// the value-semantics contract of QuantizedDistributedFfn.
+// that an int8 session outlives the spec it was built from.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -25,7 +25,6 @@
 #include "noc/topology.hpp"
 #include "partition/plan.hpp"
 #include "partition/sharder.hpp"
-#include "quant/quantized_ffn.hpp"
 #include "runtime/batched_engine.hpp"
 #include "runtime/deployment_spec.hpp"
 #include "runtime/inference_session.hpp"
@@ -354,9 +353,9 @@ TEST(SubmitRequestQuant, LegacyOverloadsForwardToTheRequestSurface) {
 }
 
 TEST(QuantFfnOwnershipQuant, ValueSemanticsSurviveTheSourceObjects) {
-  // QuantizedDistributedFfn owns its plan/shards/topology by value: a
-  // construct-from-temporaries caller (the natural style) must get an
-  // object that works after every constructor argument is gone.
+  // An int8 InferenceSession owns its config, plan, shards, int8 weight
+  // set and topology: a session built from a temporary spec (the
+  // natural style) must work after every constructor argument is gone.
   auto cfg = model::TransformerConfig::tiny_llama_42m();
   cfg.embed_dim = 64;
   cfg.ffn_dim = 128;
@@ -366,24 +365,25 @@ TEST(QuantFfnOwnershipQuant, ValueSemanticsSurviveTheSourceObjects) {
   cfg.prompt_len = 4;
   cfg.act = model::Activation::relu;
   cfg.validate();
-  const model::Weights w(cfg, 21);
+  const auto spec = [&] {
+    runtime::DeploymentSpec s;
+    s.model = cfg;
+    s.chips = 2;
+    s.precision = runtime::Precision::int8;
+    s.kv_layout = runtime::KvLayout::int8;
+    s.system.flat_topology = true;
+    s.seed = 21;
+    return s;
+  };
 
   util::Rng rng(17);
   model::Tensor x(cfg.prompt_len, cfg.embed_dim);
   x.random_init(rng, 1.0f);
 
-  std::optional<quant::QuantizedDistributedFfn> qffn;
-  {
-    const auto plan = partition::PartitionPlan::create(cfg, 2);
-    const partition::ShardedWeights shards(w, plan);
-    const auto topo = noc::Topology::flat(2);
-    qffn.emplace(cfg, shards, plan, topo);
-  }  // every constructor argument destroyed here
-  const model::Tensor y = qffn->forward(x);
+  std::optional<runtime::InferenceSession> session;
+  session.emplace(spec());  // the spec temporary is destroyed here
+  const model::Tensor y = session->forward(x, 0, nullptr, 0);
 
-  const auto plan = partition::PartitionPlan::create(cfg, 2);
-  const partition::ShardedWeights shards(w, plan);
-  const quant::QuantizedDistributedFfn fresh(cfg, shards, plan,
-                                             noc::Topology::flat(2));
-  EXPECT_EQ(model::Tensor::max_abs_diff(y, fresh.forward(x)), 0.0f);
+  const runtime::InferenceSession fresh(spec());
+  EXPECT_EQ(model::Tensor::max_abs_diff(y, fresh.forward(x, 0, nullptr, 0)), 0.0f);
 }

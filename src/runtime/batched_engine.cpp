@@ -760,7 +760,7 @@ std::vector<KvBudgetPolicy::TenantView> BatchedEngine::budget_views() const {
 
 bool BatchedEngine::admissible_now(
     const Inflight& p, const std::vector<KvBudgetPolicy::TenantView>& views,
-    int free_slots) const {
+    int free_slots, int freed_sets) const {
   if (free_slots <= 0) return false;
   const auto m = static_cast<std::size_t>(p.model);
   if (!paged()) {
@@ -773,7 +773,8 @@ bool BatchedEngine::admissible_now(
   // pool must have a cache set left — page occupancy no longer tracks
   // set occupancy one-to-one (a request holding only shared references
   // charges zero pages).
-  if (tenants_[m].pool->sets_in_use() >= tenants_[m].pool->capacity()) {
+  if (tenants_[m].pool->sets_in_use() - freed_sets >=
+      tenants_[m].pool->capacity()) {
     return false;
   }
   const PagedAdmitPlan plan = plan_paged_admission(p);
@@ -801,7 +802,9 @@ bool BatchedEngine::admits_after_evicting(const Inflight& starved,
   }
   vv.in_use -= freed;
   ++vv.pending;
-  return admissible_now(starved, views, kv_free() + freed);
+  // The victim's cache set returns to its tenant's pool too.
+  const int freed_sets = victim.model == starved.model ? 1 : 0;
+  return admissible_now(starved, views, kv_free() + freed, freed_sets);
 }
 
 Cycles BatchedEngine::remaining_cost(const Inflight& r) const {

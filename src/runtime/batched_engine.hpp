@@ -754,9 +754,10 @@ class BatchedEngine {
   [[nodiscard]] std::vector<KvBudgetPolicy::TenantView> budget_views() const;
   /// Whether the budget would grant `p` a slot right now, given the
   /// snapshot (false when no slot is free or p's model is at cap).
+  /// `freed_sets` cache sets of p's model count as returned to its pool.
   [[nodiscard]] bool admissible_now(
       const Inflight& p, const std::vector<KvBudgetPolicy::TenantView>& views,
-      int free_slots) const;
+      int free_slots, int freed_sets = 0) const;
   /// Whether evicting `victim` would let the budget admit `starved`
   /// (simulates the post-eviction snapshot; cross-model reclaim of a
   /// watermark-borrowed slot included).

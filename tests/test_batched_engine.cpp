@@ -1172,12 +1172,14 @@ TEST(BatchedEngine, SingleTenantSheddingRefusesTheNewcomer) {
   EXPECT_EQ(engine.stats().completed, 2);
 }
 
-TEST(BatchedEngine, PreemptionEvictsAndResumesBitExact) {
-  // The tentpole property in one deterministic scenario: a long
-  // best-effort request is checkpointed out of the only KV slot when a
-  // tight-deadline request would otherwise starve past its feasible
-  // deadline; both token streams stay bit-identical to dedicated
-  // generate() calls and the cycle/energy books still balance exactly.
+namespace {
+
+/// The preemption round trip in one deterministic scenario: a long
+/// best-effort request is checkpointed out of the only KV page when a
+/// tight-deadline request would otherwise starve past its feasible
+/// deadline; both token streams stay bit-identical to dedicated
+/// generate() calls and the cycle/energy books still balance exactly.
+void expect_preemption_round_trip(int kv_page_tokens) {
   const auto cfg = streamed_llama();
   const InferenceSession session(cfg, 4);
   const auto layers = static_cast<Cycles>(cfg.num_layers);
@@ -1193,7 +1195,8 @@ TEST(BatchedEngine, PreemptionEvictsAndResumesBitExact) {
       {.max_batch = 1,
        .max_pending = 8,
        .scheduler = std::make_shared<runtime::EdfScheduler>(),
-       .preemption = std::make_shared<runtime::DeadlineAwarePreemption>()});
+       .preemption = std::make_shared<runtime::DeadlineAwarePreemption>(),
+       .kv_page_tokens = kv_page_tokens});
   const auto a = engine.submit({1, 2}, 12);  // best-effort, long
   ASSERT_TRUE(a.has_value());
   EXPECT_TRUE(engine.step());  // A admitted, one decode forward in
@@ -1235,6 +1238,19 @@ TEST(BatchedEngine, PreemptionEvictsAndResumesBitExact) {
   EXPECT_EQ(cycle_sum, stats.total_cycles);
   EXPECT_NEAR(energy_sum, stats.total_energy_mj,
               1e-9 * std::max(1.0, stats.total_energy_mj));
+}
+
+}  // namespace
+
+TEST(BatchedEngine, PreemptionEvictsAndResumesBitExact) {
+  expect_preemption_round_trip(/*kv_page_tokens=*/0);
+}
+
+TEST(BatchedEngine, PreemptionFreesTheVictimsPageAndCacheSet) {
+  // One full-context page per request with the tenant's pool full: the
+  // eviction must count the victim's cache set as freed, or the starved
+  // request never looks admissible and nothing is ever preempted.
+  expect_preemption_round_trip(/*kv_page_tokens=*/streamed_llama().ar_context);
 }
 
 namespace {

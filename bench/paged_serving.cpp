@@ -1,16 +1,16 @@
 // Paged-KV serving bench: the same prefix-heavy workload through three
-// engines at IDENTICAL total KV bytes — whole-request slots (the
-// historical engine), page-granular KV (admission charges only the
-// pages a request's current length needs, decode grows page by page),
-// and paged KV with copy-on-write prefix sharing (requests repeating
-// the registered system prompt adopt its read-only pages instead of
-// recomputing the shared prefill).
+// engines at IDENTICAL total KV bytes — "slot": the default
+// kv_page_tokens of 0, one whole-context page per request; page-granular
+// KV (admission charges only the pages a request's current length
+// needs, decode grows page by page); and paged KV with copy-on-write
+// prefix sharing (requests repeating the registered system prompt adopt
+// its read-only pages instead of recomputing the shared prefill).
 //
-// The point of paging is concurrency at equal silicon: a slot engine
-// must reserve one full-context KV set per admitted request, so two
-// sets admit two requests — while the paged engine carves the same two
-// sets into pages and admits every request whose *current* footprint
-// fits. The bench gates peak_batch strictly higher under paging, every
+// The point of small pages is concurrency at equal silicon: with
+// whole-context pages every admitted request reserves one full-context
+// KV set, so two sets admit two requests — while the paged engine
+// carves the same two sets into pages and admits every request whose
+// *current* footprint fits. The bench gates peak_batch strictly higher under paging, every
 // stream bit-exact against the dedicated single-request engine, and
 // zero pages leaked after the drain. The prefix run must additionally
 // register hits and finish in fewer cycles than cold paging (the
@@ -29,7 +29,7 @@
 //     "kv_pool_bytes": N,          // identical across all three configs
 //     "configs": [
 //       {"config": "slot" | "paged" | "paged+prefix",
-//        "kv_units": n,            // slots, or pages
+//        "kv_units": n,            // pages (whole-context for "slot")
 //        "peak_batch": n, "completed": n, "total_cycles": n,
 //        "tokens_per_s": x, "bit_exact": true, "pages_leaked": 0,
 //        "prefix_hits": n, "prefix_shared_tokens": n, "cow_forks": n}],
@@ -106,8 +106,7 @@ ConfigResult run_config(const runtime::InferenceSession& session,
                                  .prefill_chunk_tokens = kChunk,
                                  .kv_page_tokens = page_tokens,
                                  .prefix_sharing = prefix_sharing});
-  out.pool_bytes = paged ? engine.kv_pages().pool_bytes()
-                         : engine.kv_slots().pool_bytes();
+  out.pool_bytes = engine.kv_pages().pool_bytes();
   // One warm-up request first (its completed prefill registers the
   // system prompt in the prefix cache), then the burst: every burst
   // request can adopt the registered pages instead of recomputing them.
@@ -132,9 +131,7 @@ ConfigResult run_config(const runtime::InferenceSession& session,
   }
   out.stats = engine.stats();
   out.tokens_per_s = out.stats.aggregate_tokens_per_s(freq_hz);
-  out.pages_leaked = paged
-                         ? engine.kv_pages().in_use() - engine.prefix_cache_pages()
-                         : engine.kv_slots().in_use();
+  out.pages_leaked = engine.kv_pages().in_use() - engine.prefix_cache_pages();
   return out;
 }
 

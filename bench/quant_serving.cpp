@@ -11,7 +11,7 @@
 // What the bench demonstrates (and self-gates):
 //   * capacity: at equal KV pool bytes the int8 layout admits >= 2x the
 //     fp16 layout's concurrent requests (peak_batch) and int4 >= 4x —
-//     pages/slots cost proportionally fewer bytes, so the same silicon
+//     pages cost proportionally fewer bytes, so the same silicon
 //     holds more resident requests;
 //   * envelope: tokens/s and mJ/token per config from the per-precision
 //     cost model (1-byte weights and int8-rate MACs for int8 tenants);
@@ -158,7 +158,7 @@ ConfigResult run_config(const std::string& name, runtime::Precision p,
   const runtime::ModelId m = reg.add(spec);
   runtime::BatchedEngine engine(reg, {.total_kv_slots = slots});
   out.kv_elem_bits = engine.model_kv_elem_bits(m);
-  out.pool_bytes = engine.kv_slots().pool_bytes();
+  out.pool_bytes = engine.kv_pages().pool_bytes();
 
   std::vector<runtime::RequestId> ids;
   ids.reserve(kJobs);
@@ -182,7 +182,7 @@ ConfigResult run_config(const std::string& name, runtime::Precision p,
   out.stats = engine.stats();
   out.tokens_per_s = out.stats.aggregate_tokens_per_s(freq_hz);
   out.mj_per_token = out.stats.mj_per_token();
-  out.units_leaked = engine.kv_slots().in_use();
+  out.units_leaked = engine.kv_pages().in_use();
   return out;
 }
 
@@ -262,7 +262,7 @@ MixedResult run_mixed(double freq_hz) {
       1e-9 * std::max(1.0, std::fabs(out.stats.total_energy_mj))) {
     out.conserved = false;
   }
-  out.units_leaked = engine.kv_slots().in_use();
+  out.units_leaked = engine.kv_pages().in_use();
   return out;
 }
 

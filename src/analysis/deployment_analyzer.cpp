@@ -68,12 +68,9 @@ struct TenantModel {
   Cycles prompt_cycles = 0;
   Cycles ar_shared_cycles = 0;   // per-step weight stream (port occupancy)
   Cycles ar_per_req_cycles = 0;  // per-request decode compute
+  /// Full-context per-chip KV at the deployment's packed entry width,
+  /// scaled from the planner's native width like BatchedEngine::build_tenant.
   Bytes chip_kv_bytes = 0;
-  /// Per-precision KV widths, mirroring BatchedEngine::build_tenant:
-  /// every KV byte count is scaled from the planner's native entry width
-  /// to the deployment's packed layout before any fit is judged.
-  int kv_elem_bits = 0;
-  int native_kv_bits = 0;
   struct FitPlan {
     const char* mode = "";
     partition::MemoryPlan plan;
@@ -81,10 +78,10 @@ struct TenantModel {
   std::vector<FitPlan> fit_plans;
   int quota = 0;
   int cap = 0;
-  /// Paged mode only (zero in slot mode): effective page size in token
-  /// positions (kv_page_tokens clamped to ar_context) and the
-  /// worst-case-chip L2 footprint of one page — the per-unit bytes of
-  /// every paged fit check, rounded up exactly like the engine's.
+  /// Effective page size in token positions (kv_page_tokens clamped to
+  /// ar_context, ar_context when 0) and the worst-case-chip L2 footprint
+  /// of one page — the per-unit bytes of every fit check, rounded up
+  /// exactly like the engine's.
   int page_tokens = 0;
   Bytes chip_page_bytes = 0;
   bool measured = false;  // block measurements succeeded (no PlanError)
@@ -144,12 +141,10 @@ void measure_tenant(const ModelDeployment& dep, TenantModel& t,
       t.fit_plans.push_back({"chunked-prompt", chunk_blocks.front().memory});
     }
     t.fit_plans.push_back({"autoregressive", ar_block.memory});
-    t.kv_elem_bits = session.kv_elem_bits();
-    t.native_kv_bits =
-        static_cast<int>(session.system().precision.kv_bytes) *
-        runtime::kBitsPerByte;
     t.chip_kv_bytes = runtime::scale_kv_bytes(
-        ar_block.memory.kv_cache_bytes, t.kv_elem_bits, t.native_kv_bits);
+        ar_block.memory.kv_cache_bytes, session.kv_elem_bits(),
+        static_cast<int>(session.system().precision.kv_bytes) *
+            runtime::kBitsPerByte);
 
     const auto layers = static_cast<Cycles>(session.config().num_layers);
     if (prompt_block.has_value()) {
@@ -263,14 +258,14 @@ AnalysisReport DeploymentAnalyzer::analyze(
     emit(report, kPagedConfig, Severity::error, "options",
          "kv_page_tokens must be >= 0 (got " +
              std::to_string(opts.kv_page_tokens) + ")",
-         "use 0 for slot-granular serving or a positive page size in "
-         "token positions");
+         "use 0 for one whole-context page per request or a positive page "
+         "size in token positions");
   }
   if (opts.prefix_sharing && opts.kv_page_tokens == 0) {
     emit(report, kPagedConfig, Severity::warning, "options",
-         "prefix_sharing is set but kv_page_tokens is 0; prefix KV pages "
-         "only exist in paged mode, so the slot engine ignores the flag "
-         "and every request re-runs its full prefill",
+         "prefix_sharing is set but kv_page_tokens is 0; a page then spans "
+         "the whole context and no prompt fills one, so the engine ignores "
+         "the flag and every request re-runs its full prefill",
          "set kv_page_tokens > 0 to share prefixes, or drop the flag");
   }
   for (const ModelDeployment& dep : registry.entries()) {
@@ -388,58 +383,35 @@ AnalysisReport DeploymentAnalyzer::analyze(
   }
 
   // ---- DMCU-MEM-001: L2 fits ------------------------------------------
-  const bool paged = opts.kv_page_tokens > 0;
   for (std::size_t m = 0; m < entries.size(); ++m) {
     TenantModel& t = tenants[m];
     measure_tenant(entries[m], t, report);
     if (!t.measured) continue;
-    if (paged) {
-      // Same derivation as BatchedEngine::build_tenant: the page size is
-      // clamped to the context, and one page's per-chip share of the
-      // full-context KV footprint is rounded up so fits never
-      // under-reserve.
-      const int ctx = entries[m].session->config().ar_context;
-      t.page_tokens = std::min(opts.kv_page_tokens, ctx);
-      t.chip_page_bytes =
-          (t.chip_kv_bytes * static_cast<Bytes>(t.page_tokens) +
-           static_cast<Bytes>(ctx) - 1) /
-          static_cast<Bytes>(ctx);
-    }
+    // Same derivation as BatchedEngine::build_tenant: the page size is
+    // clamped to the context (the whole context at 0), and one page's
+    // per-chip share of the full-context KV footprint is rounded up so
+    // fits never under-reserve.
+    const int ctx = entries[m].session->config().ar_context;
+    t.page_tokens =
+        runtime::BatchedEngine::effective_page_tokens(opts.kv_page_tokens, ctx);
+    t.chip_page_bytes = (t.chip_kv_bytes * static_cast<Bytes>(t.page_tokens) +
+                         static_cast<Bytes>(ctx) - 1) /
+                        static_cast<Bytes>(ctx);
     for (const auto& fp : t.fit_plans) {
-      if (paged) {
-        // The cap counts pages, so resident KV is cap pages beside the
-        // plan's non-KV working set (the plan's own single-set KV term
-        // is swapped out, exactly like check_paged_pool_fits).
-        const Bytes resident =
-            static_cast<Bytes>(t.cap) * t.chip_page_bytes;
-        const Bytes need = fp.plan.need() - fp.plan.kv_cache_bytes + resident;
-        if (need > fp.plan.l2_usable) {
-          emit(report, kMemOverflow, Severity::error,
-               deployment_entity(entries[m]),
-               std::to_string(t.cap) + " resident KV pages need " +
-                   util::format_bytes(need) + " of L2 in " + fp.mode +
-                   " mode but only " +
-                   util::format_bytes(fp.plan.l2_usable) + " is usable",
-               "lower max_resident/total_kv_slots, kv_page_tokens, or "
-               "ar_context");
-        }
-        continue;
-      }
-      // Unified per-precision form, exactly like check_pool_fits: swap
-      // the plan's native single-set KV term for cap sets at the packed
-      // width (identity for native layouts).
-      const Bytes set_kv = runtime::scale_kv_bytes(
-          fp.plan.kv_cache_bytes, t.kv_elem_bits, t.native_kv_bits);
-      const Bytes resident = fp.plan.need() - fp.plan.kv_cache_bytes +
-                             set_kv * static_cast<Bytes>(t.cap);
-      if (resident > fp.plan.l2_usable) {
+      // The cap counts pages, so resident KV is cap pages beside the
+      // plan's non-KV working set (the plan's own single-set KV term is
+      // swapped out, exactly like check_paged_pool_fits).
+      const Bytes resident = static_cast<Bytes>(t.cap) * t.chip_page_bytes;
+      const Bytes need = fp.plan.need() - fp.plan.kv_cache_bytes + resident;
+      if (need > fp.plan.l2_usable) {
         emit(report, kMemOverflow, Severity::error,
              deployment_entity(entries[m]),
-             std::to_string(t.cap) + " pooled KV-cache sets need " +
-                 util::format_bytes(resident) + " of L2 in " +
-                 fp.mode + " mode but only " +
-                 util::format_bytes(fp.plan.l2_usable) + " is usable",
-             "lower max_resident/total_kv_slots or ar_context");
+             std::to_string(t.cap) + " resident KV pages need " +
+                 util::format_bytes(need) + " of L2 in " + fp.mode +
+                 " mode but only " + util::format_bytes(fp.plan.l2_usable) +
+                 " is usable",
+             "lower max_resident/total_kv_slots, kv_page_tokens, or "
+             "ar_context");
       }
     }
   }
@@ -447,14 +419,13 @@ AnalysisReport DeploymentAnalyzer::analyze(
       std::all_of(tenants.begin(), tenants.end(),
                   [](const TenantModel& t) { return t.measured; });
   if (entries.size() > 1 && all_measured) {
-    // Worst-case co-resident KV: the arena's budget units (whole sets,
-    // or pages when paged) filled greedily with the largest per-chip
-    // footprints, each tenant bounded by its cap in the same unit.
+    // Worst-case co-resident KV: the arena's pages filled greedily with
+    // the largest per-chip page footprints, each tenant bounded by its
+    // cap in pages.
     std::vector<std::pair<Bytes, int>> kv_loads;
     kv_loads.reserve(tenants.size());
     for (const TenantModel& t : tenants) {
-      kv_loads.emplace_back(paged ? t.chip_page_bytes : t.chip_kv_bytes,
-                            t.cap);
+      kv_loads.emplace_back(t.chip_page_bytes, t.cap);
     }
     std::sort(kv_loads.begin(), kv_loads.end(),
               [](const auto& a, const auto& b) { return a.first > b.first; });
@@ -552,12 +523,13 @@ AnalysisReport DeploymentAnalyzer::analyze(
              "raise the deployment's prompt_len or chunk the request");
         shape_ok = false;
       }
-      if (shape_ok && paged) {
+      if (shape_ok) {
         // Mirror of submit()'s livelock guard: a sequence whose full KV
         // (prompt rows plus every decode row but the last) exceeds the
         // tenant's page cap would be admitted, grown to the cap, and
         // evicted forever.
-        const int pt = std::min(opts.kv_page_tokens, cfg.ar_context);
+        const int pt = runtime::BatchedEngine::effective_page_tokens(
+            opts.kv_page_tokens, cfg.ar_context);
         const int max_rows = rq.prompt_tokens + std::max(0, rq.new_tokens - 1);
         const int need_pages = (max_rows + pt - 1) / pt;
         const int cap = tenants[static_cast<std::size_t>(rq.model)].cap;

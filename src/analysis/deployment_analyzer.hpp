@@ -116,7 +116,8 @@ class AnalysisError : public Error {
 ///  - DMCU-REQ-006  workload request shapes submit() would throw on
 ///    (unknown model, empty prompt, context/prefill overflow)
 ///  - DMCU-PAGE-007 paged-KV configuration faults: a negative page
-///    size, prefix_sharing without paging (ignored flag — warning), or
+///    size, prefix_sharing with kv_page_tokens == 0 (whole-context
+///    pages, so the flag is ignored — warning), or
 ///    a workload sequence whose full KV needs more pages than its
 ///    tenant's cap (the engine's submit-time livelock guard)
 ///

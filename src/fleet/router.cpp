@@ -155,14 +155,9 @@ RoutingPolicy::NodeView Router::view_for(const Node& n, int index,
       prompt_tokens + new_tokens > cfg.ar_context) {
     return v;
   }
-  if (n.engine->paged()) {
-    // Same livelock guard as submit: the full sequence must fit the
-    // tenant's page cap or admission would throw.
-    const int pt = n.engine->page_tokens(m);
-    const int max_rows = prompt_tokens + std::max(0, new_tokens - 1);
-    const int pages = max_rows == 0 ? 0 : 1 + (max_rows - 1) / pt;
-    if (pages > n.engine->model_kv_cap(m)) return v;
-  }
+  // Same livelock guard as submit: the full sequence must fit the
+  // tenant's page cap or submit would throw.
+  if (!n.engine->fits_page_cap(m, prompt_tokens, new_tokens)) return v;
 
   v.eligible = true;
   v.precision = n.engine->model_precision(m);

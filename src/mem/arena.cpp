@@ -1,6 +1,5 @@
 #include "mem/arena.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -49,88 +48,6 @@ std::string Arena::memory_map() const {
        << util::format_bytes(a.size) << ")\n";
   }
   return os.str();
-}
-
-SlotArena::SlotArena(Arena& arena, const std::string& name, int n_slots,
-                     Bytes slot_bytes)
-    : name_(name), slot_bytes_(slot_bytes) {
-  DISTMCU_CHECK(n_slots > 0, "SlotArena: slot count must be positive");
-  DISTMCU_CHECK(slot_bytes > 0, "SlotArena: slot size must be positive");
-  owner_.assign(static_cast<std::size_t>(n_slots), kFreeSlot);
-  for (int i = 0; i < n_slots; ++i) {
-    (void)arena.allocate(name + "." + std::to_string(i), slot_bytes);
-  }
-}
-
-std::optional<int> SlotArena::acquire(int tenant) {
-  DISTMCU_CHECK(tenant >= 0, "SlotArena '" + name_ + "': negative tenant");
-  for (std::size_t i = 0; i < owner_.size(); ++i) {
-    if (owner_[i] == kFreeSlot) {
-      owner_[i] = tenant;
-      ++n_in_use_;
-      const auto t = static_cast<std::size_t>(tenant);
-      if (t >= tenant_in_use_.size()) {
-        tenant_in_use_.resize(t + 1, 0);
-        tenant_high_water_.resize(t + 1, 0);
-      }
-      ++tenant_in_use_[t];
-      tenant_high_water_[t] = std::max(tenant_high_water_[t], tenant_in_use_[t]);
-      return static_cast<int>(i);
-    }
-  }
-  return std::nullopt;
-}
-
-void SlotArena::release(int slot) {
-  DISTMCU_CHECK(slot >= 0 && slot < capacity(),
-              "SlotArena '" + name_ + "': release of out-of-range slot");
-  const int tenant = owner_[static_cast<std::size_t>(slot)];
-  DISTMCU_CHECK(tenant != kFreeSlot,
-              "SlotArena '" + name_ + "': double release of slot " +
-                  std::to_string(slot));
-  owner_[static_cast<std::size_t>(slot)] = kFreeSlot;
-  --n_in_use_;
-  --tenant_in_use_[static_cast<std::size_t>(tenant)];
-}
-
-void SlotArena::release(int slot, int tenant) {
-  DISTMCU_CHECK(slot >= 0 && slot < capacity(),
-              "SlotArena '" + name_ + "': release of out-of-range slot");
-  DISTMCU_CHECK(owner_[static_cast<std::size_t>(slot)] == tenant,
-              "SlotArena '" + name_ + "': tenant " + std::to_string(tenant) +
-                  " released slot " + std::to_string(slot) + " owned by " +
-                  std::to_string(owner_[static_cast<std::size_t>(slot)]) +
-                  " (cross-tenant KV leak)");
-  release(slot);
-}
-
-void SlotArena::reclaim(int slot, int tenant) {
-  release(slot, tenant);
-  const auto t = static_cast<std::size_t>(tenant);
-  if (t >= tenant_reclaimed_.size()) tenant_reclaimed_.resize(t + 1, 0);
-  ++tenant_reclaimed_[t];
-  ++total_reclaimed_;
-}
-
-int SlotArena::owner(int slot) const {
-  DISTMCU_CHECK(slot >= 0 && slot < capacity(),
-              "SlotArena '" + name_ + "': owner of out-of-range slot");
-  return owner_[static_cast<std::size_t>(slot)];
-}
-
-int SlotArena::tenant_in_use(int tenant) const {
-  const auto t = static_cast<std::size_t>(tenant);
-  return t < tenant_in_use_.size() ? tenant_in_use_[t] : 0;
-}
-
-int SlotArena::tenant_high_water(int tenant) const {
-  const auto t = static_cast<std::size_t>(tenant);
-  return t < tenant_high_water_.size() ? tenant_high_water_[t] : 0;
-}
-
-int SlotArena::tenant_reclaimed(int tenant) const {
-  const auto t = static_cast<std::size_t>(tenant);
-  return t < tenant_reclaimed_.size() ? tenant_reclaimed_[t] : 0;
 }
 
 }  // namespace distmcu::mem

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,76 +75,6 @@ class Arena {
   Bytes used_ = 0;
   Bytes high_water_ = 0;
   std::vector<Allocation> allocations_;
-};
-
-/// Fixed-count, fixed-size slot pool carved out of an Arena — the shape
-/// multi-request serving needs: the bump arena reserves the whole pool
-/// up front (so the fit accounting stays a single high-water number),
-/// while slots are acquired and released per request. Acquisition is
-/// lowest-free-index, so slot assignment is deterministic and
-/// independent of release order history length.
-///
-/// Slots carry a *tenant* tag for multi-model serving: every acquisition
-/// names the tenant (model) the slot is charged to, the arena keeps
-/// per-tenant occupancy and high-water counters, and a release checks the
-/// slot back against its recorded owner — a slot charged to one tenant
-/// can never be silently returned by (or migrated to) another. The
-/// single-tenant default (tenant 0) preserves the historical behavior.
-class SlotArena {
- public:
-  /// Reserves `n_slots * slot_bytes` from `arena` immediately (throws
-  /// PlanError via the arena when the pool does not fit).
-  SlotArena(Arena& arena, const std::string& name, int n_slots, Bytes slot_bytes);
-
-  /// Lowest free slot index charged to `tenant`, or nullopt when the
-  /// pool is exhausted — callers reject or queue, never overrun.
-  [[nodiscard]] std::optional<int> acquire(int tenant = 0);
-
-  /// Return a previously acquired slot to the pool. Throws on a slot the
-  /// caller does not hold.
-  void release(int slot);
-
-  /// Like release, but additionally checks the slot is owned by
-  /// `tenant` — the serving engine's cross-tenant leak guard.
-  void release(int slot, int tenant);
-
-  /// Owner-checked release that additionally counts the slot as
-  /// *reclaimed* from `tenant` — the preemptive-eviction path, where a
-  /// slot is taken back mid-request rather than returned at completion.
-  /// Watermark borrows reclaim against the borrowing tenant (the slot's
-  /// recorded owner), so cross-model repayments are visible per tenant.
-  void reclaim(int slot, int tenant);
-
-  [[nodiscard]] int capacity() const { return static_cast<int>(owner_.size()); }
-  [[nodiscard]] int in_use() const { return n_in_use_; }
-  [[nodiscard]] int free() const { return capacity() - n_in_use_; }
-  [[nodiscard]] Bytes slot_bytes() const { return slot_bytes_; }
-  [[nodiscard]] Bytes pool_bytes() const {
-    return static_cast<Bytes>(capacity()) * slot_bytes_;
-  }
-  [[nodiscard]] const std::string& name() const { return name_; }
-
-  /// Tenant currently holding `slot` (kFreeSlot when unheld).
-  static constexpr int kFreeSlot = -1;
-  [[nodiscard]] int owner(int slot) const;
-  /// Slots currently charged to `tenant` (0 for tenants never seen).
-  [[nodiscard]] int tenant_in_use(int tenant) const;
-  /// Most slots `tenant` ever held at once.
-  [[nodiscard]] int tenant_high_water(int tenant) const;
-  /// Slots reclaimed (preemptively released) from `tenant` so far.
-  [[nodiscard]] int tenant_reclaimed(int tenant) const;
-  /// Reclaimed slots across all tenants.
-  [[nodiscard]] int total_reclaimed() const { return total_reclaimed_; }
-
- private:
-  std::string name_;
-  Bytes slot_bytes_;
-  std::vector<int> owner_;  // kFreeSlot, or the holding tenant
-  int n_in_use_ = 0;
-  std::vector<int> tenant_in_use_;     // indexed by tenant, grown on demand
-  std::vector<int> tenant_high_water_;
-  std::vector<int> tenant_reclaimed_;
-  int total_reclaimed_ = 0;
 };
 
 }  // namespace distmcu::mem

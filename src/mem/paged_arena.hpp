@@ -10,23 +10,25 @@
 
 namespace distmcu::mem {
 
-/// Fixed-count, fixed-size *page* pool carved out of an Arena — the
-/// paged counterpart of SlotArena for block-granular KV serving (the
-/// vLLM layout, adapted to a fixed L2 budget): a request maps logical KV
-/// blocks to physical pages through a per-request page table, acquires
-/// only the pages its current length needs, and grows page-by-page at
-/// decode time.
+/// Fixed-count, fixed-size *page* pool carved out of an Arena — the one
+/// KV budget unit of the serving engine (the vLLM layout, adapted to a
+/// fixed L2 budget): a request maps logical KV blocks to physical pages
+/// through a per-request page table, acquires only the pages its current
+/// length needs, and grows page-by-page at decode time. A page that
+/// spans the whole context is a whole-request slot.
 ///
-/// Pages carry the same tenant discipline as SlotArena slots — every
-/// acquisition names the tenant the page is charged to, releases are
-/// owner-checked, and per-tenant occupancy/high-water/reclaim counters
-/// are maintained — plus a per-page *refcount* for copy-on-write prefix
-/// sharing: a read-only prefix page can back several requests at once
-/// (`add_ref`), is physically counted once toward its owning tenant, and
-/// returns to the pool only when the last reference is released.
+/// Every acquisition names the tenant (model) the page is charged to,
+/// releases are owner-checked — a page charged to one tenant can never
+/// be silently returned by (or migrated to) another — and per-tenant
+/// occupancy/high-water/reclaim counters are maintained. A per-page
+/// *refcount* serves copy-on-write prefix sharing: a read-only prefix
+/// page can back several requests at once (`add_ref`), is physically
+/// counted once toward its owning tenant, and returns to the pool only
+/// when the last reference is released. Acquisition is lowest-free-
+/// index, so page assignment is deterministic.
 ///
 /// The arena reserves the whole pool up front, so the fit accounting
-/// stays a single high-water number exactly as in the slot design.
+/// stays a single high-water number.
 class PagedKvArena {
  public:
   /// Reserves `n_pages * page_bytes` from `arena` immediately (throws

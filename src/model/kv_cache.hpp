@@ -109,7 +109,7 @@ class KvCache {
 /// model); the pool tracks its free sets itself via acquire_set /
 /// release_set (lowest-free-index, deterministic), while the shared
 /// *byte budget* across all models' pools lives with the engine's
-/// tenant-tagged mem::SlotArena so the accounting and the tensors
+/// tenant-tagged mem::PagedKvArena so the accounting and the tensors
 /// cannot drift apart.
 class KvCachePool {
  public:

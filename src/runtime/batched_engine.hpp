@@ -1,6 +1,7 @@
 #ifndef DISTMCU_RUNTIME_BATCHED_ENGINE_HPP
 #define DISTMCU_RUNTIME_BATCHED_ENGINE_HPP
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -28,7 +29,7 @@ namespace distmcu::runtime {
 /// even on an idle engine.
 enum class Rejection {
   none,
-  /// The queue backlog beyond the free KV slots reached max_pending
+  /// The queue backlog beyond the free KV pages reached max_pending
   /// (and fair shedding, when enabled, found nobody heavier to shed).
   queue_full,
   /// Fail-fast: the cost model proves the deadline unattainable even if
@@ -63,7 +64,7 @@ struct RequestResult {
   SloSpec slo;
   Cycles submitted_at = 0;
   Cycles deadline_at = kNoDeadline;
-  /// Times the request was preempted (checkpointed out of its KV slot)
+  /// Times the request was preempted (checkpointed out of its KV pages)
   /// before completing; 0 on the non-preemptive path. Its token stream
   /// is bit-identical either way — eviction costs cycles, not tokens.
   int times_evicted = 0;
@@ -103,9 +104,9 @@ struct ModelServingStats {
   int slo_requests = 0;
   int deadline_misses = 0;
   /// Overload-path counters: accepted-then-shed requests, evictions of
-  /// this model's running requests, their later resumes, and the
-  /// SlotArena's running reclaim count for this tenant (== preemptions
-  /// once the engine drains).
+  /// this model's running requests, their later resumes, and the KV
+  /// pages reclaimed from this tenant by those evictions (== preemptions
+  /// once the engine drains when every request holds one page).
   int shed = 0;
   int preemptions = 0;
   int resumes = 0;
@@ -114,8 +115,8 @@ struct ModelServingStats {
   /// decode_steps * (its per-step serial weight stream).
   Cycles prefetch_stall_cycles = 0;
   Cycles stream_cycles_hidden = 0;
-  /// Shared-KV-arena occupancy: the static-split reserve, the hard cap,
-  /// and the most slots this model ever held at once. Under the
+  /// Shared-KV-arena occupancy in pages: the static-split reserve, the
+  /// hard cap, and the most pages this model ever held at once. Under the
   /// static-split policy high_water <= quota always (zero cross-model
   /// leakage); borrowing policies may exceed the quota up to the cap.
   int kv_quota = 0;
@@ -200,7 +201,7 @@ struct ServingStats {
   Cycles queue_delay_p50 = 0;
   Cycles queue_delay_p95 = 0;
   Cycles queue_delay_p99 = 0;
-  /// Paged-KV serving only (all zero in slot mode): admissions that
+  /// Prefix sharing only (all zero without it): admissions that
   /// adopted a registered prompt prefix, the prompt tokens those
   /// adoptions skipped recomputing, and how many adoptions forked
   /// copy-on-write mid-page (the adopted rows extend into the new
@@ -242,10 +243,10 @@ struct ServingStats {
 ///
 /// Multi-model use: a ModelRegistry deploys N (model::Config,
 /// chip-count, block program) sessions, each with its own chunked- or
-/// serial-prefill mode and cost decomposition, while every KV slot comes
-/// from ONE shared, tenant-tagged mem::SlotArena partitioned by a
-/// pluggable KvBudgetPolicy (static split / proportional-to-load /
-/// watermark borrowing):
+/// serial-prefill mode and cost decomposition, while every KV page comes
+/// from ONE shared, tenant-tagged, refcounted mem::PagedKvArena
+/// partitioned by a pluggable KvBudgetPolicy (static split /
+/// proportional-to-load / watermark borrowing):
 ///
 ///   ModelRegistry reg;
 ///   auto llama = reg.add(llama_session, "tinyllama", /*chunk=*/4);
@@ -277,32 +278,32 @@ struct ServingStats {
 /// Admission is a single queue ranked by the pluggable runtime::Scheduler
 /// across all models (per-model cost estimates feed EDF feasibility, so
 /// a deadline on one model's request can preempt admission of
-/// another's), gated by the KvBudgetPolicy: whenever a KV slot frees up
+/// another's), gated by the KvBudgetPolicy: whenever KV pages free up
 /// the engine offers the scheduler exactly the pending requests whose
-/// model may take one more slot under the policy. By default admission
-/// is non-preemptive — once admitted, a request keeps its slot to
-/// completion. Configuring a PreemptionPolicy lifts that: when a
-/// pending request's feasible deadline would be lost waiting for a
-/// natural slot release, a running victim is checkpointed out of its
-/// slot (KV contents + position, charged as L3 traffic on the shared
-/// port) and later re-admitted to resume with a bit-identical token
-/// stream.
+/// model may take the pages their first step needs under the policy. By
+/// default admission is non-preemptive — once admitted, a request keeps
+/// its pages to completion. Configuring a PreemptionPolicy lifts that:
+/// when a pending request's feasible deadline would be lost waiting for
+/// a natural release, a running victim is checkpointed out of its pages
+/// (KV contents + position, charged as L3 traffic on the shared port)
+/// and later re-admitted to resume with a bit-identical token stream.
 ///
 /// KV-cache sets come from per-model pools sized at construction; the
 /// byte reservation is charged to a shared mem::Arena through one
-/// tenant-tagged mem::SlotArena (uniform slabs sized for the largest
-/// tenant's set — the MCUBERT-style static shared-pool discipline), so
-/// admission beyond the budget queues and submits beyond the queue bound
-/// are rejected gracefully (nullopt, no UB). Construction throws
-/// PlanError when any model's cap of resident KV sets does not fit its
-/// deployment's L2 next to the single-request plan the memory planner
-/// already validated.
+/// tenant-tagged mem::PagedKvArena (uniform pages sized for the largest
+/// tenant's page — the MCUBERT-style static shared-pool discipline). By
+/// default a page spans a model's whole context, so each request holds
+/// exactly one. Admission beyond the budget queues and submits beyond
+/// the queue bound are rejected gracefully (nullopt, no UB).
+/// Construction throws PlanError when any model's cap of resident KV
+/// pages does not fit its deployment's L2 next to the single-request
+/// plan the memory planner already validated.
 class BatchedEngine {
  public:
   /// Single-model options (the historical surface).
   struct Options {
-    int max_batch = 4;  ///< concurrent KV-cache pool slots
-    /// Bound on the *queue* — the backlog beyond what the free KV slots
+    int max_batch = 4;  ///< KV pages in the shared pool
+    /// Bound on the *queue* — the backlog beyond what the free KV pages
     /// can absorb at the next admission point. max_pending == 0 still
     /// accepts submits an idle engine can admit directly.
     int max_pending = 64;
@@ -330,8 +331,8 @@ class BatchedEngine {
     bool fair_shedding = false;
     /// Eviction policy enabling preemptive serving: when a pending
     /// request's feasible deadline would be missed by waiting for the
-    /// earliest natural slot release, the engine checkpoints a running
-    /// victim out of its KV slot (to be resumed later, bit-exactly).
+    /// earliest natural release, the engine checkpoints a running
+    /// victim out of its KV pages (to be resumed later, bit-exactly).
     /// Null disables preemption entirely (the default).
     std::shared_ptr<const PreemptionPolicy> preemption = nullptr;
     /// Strict construction: run analysis::DeploymentAnalyzer over the
@@ -342,25 +343,25 @@ class BatchedEngine {
     /// reject unsound configs plain construction accepts at all, such as
     /// trace-lane key collisions (DMCU-TRC-005). Off by default.
     bool strict = false;
-    /// Page-granular KV serving (the vLLM layout against a fixed L2
-    /// budget): > 0 switches the shared KV arena from whole-request
-    /// slots to pages of this many token positions — max_batch then
-    /// counts PAGES, admission charges only the pages a request's
-    /// current length needs, and decode grows the mapping page by page.
-    /// 0 (the default) keeps the historical slot engine bit-exactly.
+    /// KV page size in token positions (the vLLM layout against a fixed
+    /// L2 budget), clamped to the model's ar_context. Admission charges
+    /// only the pages a request's current length needs, and decode grows
+    /// the mapping page by page. 0 (the default) makes one page span the
+    /// whole context, so each request holds exactly one page.
     int kv_page_tokens = 0;
-    /// Paged mode only: requests of a chunked-prefill deployment whose
-    /// prompts share a registered common prefix adopt its read-only KV
-    /// pages copy-on-write (per-page refcounts) instead of recomputing
-    /// the shared prefill. Ignored in slot mode.
+    /// Requests of a chunked-prefill deployment whose prompts share a
+    /// registered common prefix adopt its read-only KV pages
+    /// copy-on-write (per-page refcounts) instead of recomputing the
+    /// shared prefill. Needs kv_page_tokens > 0; ignored at 0, where a
+    /// page spans the whole context and no prompt fills one.
     bool prefix_sharing = false;
   };
 
   /// Multi-model options. Per-model knobs (chunk size, quota, cap) live
   /// on the ModelRegistry entries.
   struct MultiOptions {
-    /// Shared KV arena size in slots, partitioned across the deployed
-    /// models by the budget policy. Must cover at least one slot per
+    /// Shared KV arena size in pages, partitioned across the deployed
+    /// models by the budget policy. Must cover at least one page per
     /// deployment.
     int total_kv_slots = 4;
     int max_pending = 64;
@@ -377,14 +378,13 @@ class BatchedEngine {
     /// Strict construction: analyzer-gated, same semantics as
     /// Options::strict.
     bool strict = false;
-    /// Page-granular KV serving; > 0 makes total_kv_slots count pages of
-    /// this many token positions (clamped per tenant to its ar_context)
-    /// instead of whole-request slots. Quotas and caps are then in
-    /// pages. Same semantics as Options::kv_page_tokens.
+    /// KV page size in token positions, clamped per tenant to its
+    /// ar_context; 0 (the default) makes one page span each tenant's
+    /// whole context. Quotas and caps count pages. Same semantics as
+    /// Options::kv_page_tokens.
     int kv_page_tokens = 0;
     /// Copy-on-write prompt-prefix sharing across a chunked tenant's
-    /// requests (paged mode only). Same semantics as
-    /// Options::prefix_sharing.
+    /// requests. Same semantics as Options::prefix_sharing.
     bool prefix_sharing = false;
   };
 
@@ -426,7 +426,7 @@ class BatchedEngine {
   /// contract violations (unknown model, empty prompt, context
   /// overflow, prompt longer than that deployment's static prefill
   /// shape `prompt_len`) exactly like InferenceSession::generate;
-  /// returns nullopt when the queue backlog beyond the free KV slots
+  /// returns nullopt when the queue backlog beyond the free KV pages
   /// reaches max_pending (graceful backpressure — rejects are not SLO
   /// misses; see last_rejection()).
   [[nodiscard]] std::optional<RequestId> submit(Request req);
@@ -469,7 +469,7 @@ class BatchedEngine {
   }
 
   /// Advance one token boundary: admit pending requests into free KV
-  /// slots under the budget policy, then give every deployed model its
+  /// pages under the budget policy, then give every deployed model its
   /// sub-phase — advance its prefilling requests by one prompt chunk
   /// (the whole prompt at admission when chunking is disabled for it)
   /// and decode one token for every of its active requests past
@@ -487,24 +487,33 @@ class BatchedEngine {
   [[nodiscard]] int active_requests() const { return static_cast<int>(active_.size()); }
   [[nodiscard]] int pending_requests() const { return static_cast<int>(pending_.size()); }
   [[nodiscard]] const mem::Arena& kv_arena() const { return kv_arena_; }
-  /// Slot-mode budget arena; throws when the engine runs paged.
-  [[nodiscard]] const mem::SlotArena& kv_slots() const;
-  /// True when the engine serves page-granular KV (kv_page_tokens > 0).
-  [[nodiscard]] bool paged() const { return kv_pages_.has_value(); }
-  /// Paged-mode budget arena; throws when the engine runs slots.
-  [[nodiscard]] const mem::PagedKvArena& kv_pages() const;
+  /// The shared, tenant-tagged KV budget arena.
+  [[nodiscard]] const mem::PagedKvArena& kv_pages() const { return kv_pages_; }
   /// Effective page size of one deployed model in token positions
-  /// (kv_page_tokens clamped to its ar_context; 0 in slot mode).
+  /// (kv_page_tokens clamped to its ar_context; its ar_context at 0).
   [[nodiscard]] int page_tokens(ModelId m) const;
-  /// Pages currently pinned by registered prompt prefixes (paged mode
-  /// with prefix sharing; the only occupancy that survives a drain).
+  /// The page size rule behind page_tokens(), for a model of context
+  /// `ar_context` (the static analyzer derives pages the same way).
+  [[nodiscard]] static int effective_page_tokens(int kv_page_tokens,
+                                                 int ar_context) {
+    return kv_page_tokens > 0 ? std::min(kv_page_tokens, ar_context)
+                              : ar_context;
+  }
+  /// Whether a request of this shape on model `m` can hold its whole KV
+  /// (every prompt row and every decode row but the last) within the
+  /// model's page cap. submit() refuses one that cannot: it would be
+  /// admitted, grown to the cap and evicted forever.
+  [[nodiscard]] bool fits_page_cap(ModelId m, int prompt_tokens,
+                                   int new_tokens) const;
+  /// Pages currently pinned by registered prompt prefixes (prefix
+  /// sharing only; the only occupancy that survives a drain).
   [[nodiscard]] int prefix_cache_pages() const;
   /// Registered prompt-prefix entries across all tenants.
   [[nodiscard]] int prefix_cache_entries() const;
 
   [[nodiscard]] int model_count() const { return static_cast<int>(tenants_.size()); }
   [[nodiscard]] const std::string& model_name(ModelId m) const;
-  /// Static-split reserve / hard cap of one deployed model, in slots.
+  /// Static-split reserve / hard cap of one deployed model, in pages.
   [[nodiscard]] int model_kv_quota(ModelId m) const;
   [[nodiscard]] int model_kv_cap(ModelId m) const;
   /// Effective prompt-chunk size of one deployed model (0 = serial
@@ -538,8 +547,8 @@ class BatchedEngine {
   [[nodiscard]] Precision model_precision(ModelId m) const;
   [[nodiscard]] KvLayout model_kv_layout(ModelId m) const;
   /// Bits one stored KV entry of model `m` costs in the shared arena —
-  /// the per-precision scale factor of every KV byte count (pages,
-  /// slots, checkpoint DMA).
+  /// the per-precision scale factor of every KV byte count (pages and
+  /// checkpoint DMA).
   [[nodiscard]] int model_kv_elem_bits(ModelId m) const;
 
  private:
@@ -556,7 +565,6 @@ class BatchedEngine {
     int prefill_pos = 0;  // prompt tokens already prefilled (chunked mode)
     int pos = 0;          // absolute position of the next decoded token
     int next = -1;        // pending token, emitted at the next boundary
-    int slot = -1;        // shared-arena budget slot while active
     int set = -1;         // its model's KvCachePool set while active
     Cycles cycles = 0;    // attributed simulated cost
     double energy_mj = 0.0;
@@ -587,7 +595,7 @@ class BatchedEngine {
     std::optional<model::KvCachePool::CacheSet> checkpoint;
     Bytes checkpoint_bytes = 0;
     int times_evicted = 0;
-    /// Paged-mode state: the request's page table (physical page
+    /// Page state: the request's page table (physical page
     /// indices in token order — adopted shared-prefix pages first, then
     /// its private pages), how many of the leading entries are adopted
     /// shared pages, and — across an eviction — how many leading token
@@ -632,7 +640,7 @@ class BatchedEngine {
 
   /// One deployed model's serving state: its session, its block-program
   /// cost decomposition, its KvCachePool, and its staged-weights
-  /// prefetch channel. Index in tenants_ == ModelId == SlotArena tenant
+  /// prefetch channel. Index in tenants_ == ModelId == PagedKvArena tenant
   /// tag == pipeline channel.
   struct Tenant {
     const InferenceSession* session = nullptr;
@@ -667,25 +675,21 @@ class BatchedEngine {
       partition::MemoryPlan plan;
     };
     std::vector<FitPlan> fit_plans;
-    /// Per-chip KV footprint of one of this model's sets (the memory
-    /// planner's worst-case-chip `kv_cache_bytes`, autoregressive
-    /// mode) — the unit of the cross-tenant L2 fit check.
-    Bytes chip_kv_bytes = 0;
 
     /// Physical cache sets (functional state) — strictly this model's;
-    /// the shared budget lives in the engine's SlotArena. Optional only
-    /// because pools are built after the L2 fit check.
+    /// the shared budget lives in the engine's PagedKvArena. Optional
+    /// only because pools are built after the L2 fit check.
     std::optional<model::KvCachePool> pool;
     Bytes kv_set_bytes = 0;  // one pooled set at full capacity
-    int quota = 0;  // static-split reserve (slots; pages when paged)
-    int cap = 0;    // hard ceiling on concurrent slots (== pool size)
+    int quota = 0;  // static-split reserve, in pages
+    int cap = 0;    // hard ceiling on concurrent pages (== pool size)
 
-    /// Paged mode only (all zero in slot mode): effective page size in
-    /// token positions (kv_page_tokens clamped to ar_context), the
-    /// arena-charged bytes of one page (kv_set_bytes scaled by
-    /// page_tokens/ar_context — exact, the set capacity is a multiple of
-    /// the context), and the worst-case-chip L2 footprint of one page
-    /// (the unit of the cross-tenant fit check).
+    /// Effective page size in token positions (kv_page_tokens clamped to
+    /// ar_context, ar_context when 0), the arena-charged bytes of one
+    /// page (kv_set_bytes scaled by page_tokens/ar_context — exact, the
+    /// set capacity is a multiple of the context), and the
+    /// worst-case-chip L2 footprint of one page (the unit of every L2
+    /// fit check).
     int page_tokens = 0;
     Bytes page_bytes = 0;
     Bytes chip_page_bytes = 0;
@@ -740,41 +744,33 @@ class BatchedEngine {
                                            int quota, int cap,
                                            int page_tokens);
 
-  /// Admit pending requests into free slots under the budget policy;
-  /// serial-prefill models charge their whole prompt here.
-  /// `serial_admitted[m]` is set when model m admitted serial prompt
-  /// work this step.
-  void admit_pending(int step_idx, double& step_energy,
-                     std::vector<char>& serial_admitted);
+  /// Admit pending requests into free pages under the budget policy;
+  /// serial-prefill models charge their whole prompt here and set
+  /// serial_admitted_[m].
+  void admit_pending(int step_idx, double& step_energy);
   /// Index into pending_ of the scheduler's choice among budget-
   /// admissible requests, or -1 when nothing may be admitted.
-  [[nodiscard]] int pick_admissible_pending() const;
+  [[nodiscard]] int pick_admissible_pending();
   /// Budget-policy snapshot of every tenant's occupancy and queued
-  /// demand (shared by admission, preemption, and shedding decisions).
-  [[nodiscard]] std::vector<KvBudgetPolicy::TenantView> budget_views() const;
-  /// Whether the budget would grant `p` a slot right now, given the
-  /// snapshot (false when no slot is free or p's model is at cap).
-  /// `freed_sets` cache sets of p's model count as returned to its pool.
+  /// demand (shared by admission, preemption, and page growth), built in
+  /// a reused buffer that the next call overwrites.
+  [[nodiscard]] const std::vector<KvBudgetPolicy::TenantView>& budget_views()
+      const;
+  /// Whether the budget would grant `p` its first step's pages right
+  /// now, given the snapshot (false when too few pages are free or p's
+  /// model is at cap). `freed_sets` cache sets of p's model count as
+  /// returned to its pool.
   [[nodiscard]] bool admissible_now(
       const Inflight& p, const std::vector<KvBudgetPolicy::TenantView>& views,
-      int free_slots, int freed_sets = 0) const;
+      int free_pages, int freed_sets = 0) const;
   /// Whether evicting `victim` would let the budget admit `starved`
-  /// (simulates the post-eviction snapshot; cross-model reclaim of a
-  /// watermark-borrowed slot included).
-  [[nodiscard]] bool admits_after_evicting(const Inflight& starved,
-                                           const Inflight& victim) const;
+  /// (simulates the post-eviction snapshot of `views`; cross-model
+  /// reclaim of watermark-borrowed pages included).
+  [[nodiscard]] bool admits_after_evicting(
+      const Inflight& starved, const Inflight& victim,
+      const std::vector<KvBudgetPolicy::TenantView>& views) const;
 
-  // ---- mode dispatch over the two budget arenas -----------------------
-  /// Free budget units (slots or pages) in whichever arena is live.
-  [[nodiscard]] int kv_free() const;
-  /// Total budget units of the live arena.
-  [[nodiscard]] int kv_capacity_units() const;
-  /// Units tenant `m` currently holds / ever held at once / reclaimed.
-  [[nodiscard]] int kv_tenant_in_use(ModelId m) const;
-  [[nodiscard]] int kv_tenant_high_water(ModelId m) const;
-  [[nodiscard]] int kv_tenant_reclaimed(ModelId m) const;
-
-  // ---- paged-mode machinery -------------------------------------------
+  // ---- page machinery -------------------------------------------------
   /// Pages `n` token positions occupy for model `m` (ceil division).
   [[nodiscard]] int pages_for_tokens(ModelId m, int n) const;
   /// KV rows request `r` will have resident by the end of the step now
@@ -782,7 +778,7 @@ class BatchedEngine {
   /// cover before running it. Counts the same-step first-decode row
   /// exactly when the engine's commit loop appends it (new_tokens >= 2).
   [[nodiscard]] int tokens_after_step(const Inflight& r) const;
-  /// Admission plan of one pending request under paging: total pages its
+  /// Admission plan of one pending request: total pages its
   /// first step needs, how many of them an adoptable registered prefix
   /// (or, on resume, still-resident shared pages) provides, which
   /// registry entry that is (-1 none), and the prompt tokens adoption
@@ -814,7 +810,7 @@ class BatchedEngine {
   /// false when no matching entry is registered.
   bool drop_lru_prefix_entry(ModelId only = -1);
   /// Register a just-prefilled prompt as a shareable prefix (chunked
-  /// paged tenants with prefix_sharing): add_ref its full pages and deep-
+  /// tenants with prefix_sharing): add_ref its full pages and deep-
   /// copy its KV rows into the tenant's registry.
   void donate_prefix(const Inflight& r);
   /// Longest-common-prefix length of two token strings.
@@ -825,15 +821,15 @@ class BatchedEngine {
   [[nodiscard]] Cycles remaining_cost(const Inflight& r) const;
   /// Preemption driver, run at the top of each step: while a pending
   /// feasible deadline would be starved past its deadline by waiting
-  /// for the earliest natural slot release, offer the policy the
+  /// for the earliest natural release, offer the policy the
   /// running requests whose eviction would unblock it (bounded by the
   /// step's initial batch size).
   void maybe_preempt(int step_idx, double& step_energy);
   /// One trigger evaluation + eviction; true when a victim was evicted.
   bool attempt_preemption(int step_idx, double& step_energy);
-  /// Checkpoint active_[idx] out of its KV slot: deep-copy its KV set,
+  /// Checkpoint active_[idx] out of its KV pages: deep-copy its KV set,
   /// charge the checkpoint traffic to it on the L3 port, reclaim its
-  /// tenant-tagged slot, and push it back to pending_ to resume later.
+  /// tenant-tagged pages, and push it back to pending_ to resume later.
   void evict_active(std::size_t idx, int step_idx, double& step_energy);
   /// Fair load shedding on a full queue: drop the newest non-
   /// checkpointed queued request of the heaviest tenant (counting the
@@ -904,7 +900,8 @@ class BatchedEngine {
   [[nodiscard]] const Tenant& tenant(ModelId m) const;
 
   /// Effective engine-level options (keeps the policy shared_ptrs
-  /// alive for the engine's lifetime).
+  /// alive for the engine's lifetime). prefix_sharing is cleared at
+  /// kv_page_tokens == 0, where no prompt fills a whole-context page.
   MultiOptions opts_;
   sim::Tracer* tracer_;
 
@@ -914,14 +911,11 @@ class BatchedEngine {
   /// request lanes (single-model traces are unchanged).
   bool trace_models_ = false;
 
-  /// Shared KV budget: uniform slabs sized for the largest tenant's
-  /// set (largest page in paged mode), charged to one arena. Exactly one
-  /// of the two budget arenas is live: whole-request slots (the
-  /// historical engine) or refcounted pages (kv_page_tokens > 0).
+  /// Shared KV budget: uniform refcounted pages sized for the largest
+  /// tenant's page, charged to one arena.
   Bytes slab_bytes_ = 0;
   mem::Arena kv_arena_;
-  std::optional<mem::SlotArena> kv_slots_;
-  std::optional<mem::PagedKvArena> kv_pages_;
+  mem::PagedKvArena kv_pages_;
 
   /// Effective admission/budget policies: the configured ones, or the
   /// process-wide FIFO / static-split instances.
@@ -946,8 +940,17 @@ class BatchedEngine {
   Rejection last_rejection_ = Rejection::none;
   /// Requests dropped by fair load shedding, in shed order.
   std::vector<RequestId> shed_ids_;
-  /// can_grant_pages' copy of the budget snapshot, reused across calls.
+  /// Admission and preemption scratch, reused across steps so a steady
+  /// step does not allocate: the budget snapshot, its post-eviction and
+  /// per-grant copies, the scheduler's candidate queue with each
+  /// candidate's pending_ index, and which models admitted serial
+  /// prompt work this step.
+  mutable std::vector<KvBudgetPolicy::TenantView> views_;
+  mutable std::vector<KvBudgetPolicy::TenantView> evict_views_;
   mutable std::vector<KvBudgetPolicy::TenantView> grant_views_;
+  std::vector<Scheduler::Candidate> sched_queue_;
+  std::vector<int> pending_index_;
+  std::vector<char> serial_admitted_;
 
   /// Step timeline: every model's decode compute races its next weight
   /// stream on its own staged channel; all DMAs serialize on the one

@@ -10,11 +10,13 @@ namespace distmcu::runtime {
 /// ModelRegistry::add).
 using ModelId = int;
 
-/// Partitioning policy for the shared KV slot arena of a multi-model
-/// serving engine — the MCUBERT-style shared-pool discipline made
-/// pluggable. The engine owns the slots (a tenant-tagged mem::SlotArena)
-/// and asks the policy, at every admission point, whether a given model
-/// may take ONE more slot given everybody's occupancy and queued demand.
+/// Partitioning policy for the shared KV arena of a multi-model serving
+/// engine — the MCUBERT-style shared-pool discipline made pluggable. The
+/// engine owns the budget units — the pages of a tenant-tagged
+/// mem::PagedKvArena, called slots below; by default a page spans the
+/// whole context, so one slot holds one request — and asks the policy,
+/// at every grant, whether a given model may take ONE more slot given
+/// everybody's occupancy and queued demand.
 /// Policies are stateless rankers, so one instance can be shared across
 /// engines and replay is deterministic by construction.
 ///

@@ -510,8 +510,8 @@ TEST(ServingInvariantsAnalysis, CleanConfigsServeBadConfigsThrow) {
       EXPECT_EQ(static_cast<int>(results.size()), accepted)
           << "seed " << seed << ": accepted requests did not all complete";
       EXPECT_EQ(engine.stats().completed, accepted) << "seed " << seed;
-      EXPECT_EQ(engine.kv_slots().in_use(), 0)
-          << "seed " << seed << ": KV slots leaked";
+      EXPECT_EQ(engine.kv_pages().in_use(), 0)
+          << "seed " << seed << ": KV pages leaked";
       int generated = 0;
       for (const auto& r : results) generated += r.gen.generated;
       EXPECT_EQ(engine.stats().total_generated, generated)

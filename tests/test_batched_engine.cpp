@@ -885,70 +885,73 @@ TEST(BatchedEngineChunked, RejectsNegativeChunkTokens) {
                Error);
 }
 
-// --- KV pool / slot arena -------------------------------------------------
+// --- KV pool: whole-context pages, the engine's default unit ----------------
+// These contracts once belonged to a separate whole-request slot arena;
+// the engine's default page (one per request, spanning the context) now
+// carries them.
 
 TEST(SlotArena, ExhaustionReturnsNulloptNotUB) {
   mem::Arena arena("l2.kv_pool", 4096);
-  mem::SlotArena slots(arena, "kv_set", 2, 1024);
+  mem::PagedKvArena pages(arena, "kv_page", 2, 1024);
   EXPECT_EQ(arena.used(), 2048u);
 
-  const auto s0 = slots.acquire();
-  const auto s1 = slots.acquire();
-  ASSERT_TRUE(s0.has_value());
-  ASSERT_TRUE(s1.has_value());
-  EXPECT_NE(*s0, *s1);
-  EXPECT_EQ(slots.free(), 0);
+  const auto p0 = pages.acquire();
+  const auto p1 = pages.acquire();
+  ASSERT_TRUE(p0.has_value());
+  ASSERT_TRUE(p1.has_value());
+  EXPECT_NE(*p0, *p1);
+  EXPECT_EQ(pages.free(), 0);
 
-  const auto s2 = slots.acquire();
-  EXPECT_FALSE(s2.has_value());  // graceful reject
+  const auto p2 = pages.acquire();
+  EXPECT_FALSE(p2.has_value());  // graceful reject
 
-  slots.release(*s0);
-  const auto s3 = slots.acquire();
-  ASSERT_TRUE(s3.has_value());
-  EXPECT_EQ(*s3, *s0);  // lowest-free-index policy
+  pages.release(*p0, /*tenant=*/0);
+  const auto p3 = pages.acquire();
+  ASSERT_TRUE(p3.has_value());
+  EXPECT_EQ(*p3, *p0);  // lowest-free-index policy
 
-  EXPECT_THROW(slots.release(*s1 + 5), Error);  // out of range
-  slots.release(*s1);
-  EXPECT_THROW(slots.release(*s1), Error);  // double release
+  EXPECT_THROW(pages.release(*p1 + 5, 0), Error);  // out of range
+  pages.release(*p1, 0);
+  EXPECT_THROW(pages.release(*p1, 0), Error);  // double release
 }
 
 TEST(SlotArena, ReclaimIsOwnerCheckedAndCounted) {
-  // The preemption path returns slots through reclaim(): an owner-
-  // checked release that additionally counts the slot as reclaimed,
+  // The preemption path returns pages through reclaim(): an owner-
+  // checked release that additionally counts the page as reclaimed,
   // per tenant and in total. A plain release never bumps the counters.
   mem::Arena arena("l2.kv_pool", 4096);
-  mem::SlotArena slots(arena, "kv_set", 2, 1024);
-  const auto s0 = slots.acquire(/*tenant=*/0);
-  const auto s1 = slots.acquire(/*tenant=*/1);
-  ASSERT_TRUE(s0.has_value() && s1.has_value());
+  mem::PagedKvArena pages(arena, "kv_page", 2, 1024);
+  const auto p0 = pages.acquire(/*tenant=*/0);
+  const auto p1 = pages.acquire(/*tenant=*/1);
+  ASSERT_TRUE(p0.has_value() && p1.has_value());
 
-  EXPECT_THROW(slots.reclaim(*s0, /*tenant=*/1), Error);  // cross-tenant
-  EXPECT_EQ(slots.total_reclaimed(), 0);  // failed reclaim left no trace
-  EXPECT_EQ(slots.tenant_in_use(0), 1);
+  EXPECT_THROW(pages.reclaim(*p0, /*tenant=*/1), Error);  // cross-tenant
+  EXPECT_EQ(pages.total_reclaimed(), 0);  // failed reclaim left no trace
+  EXPECT_EQ(pages.tenant_in_use(0), 1);
 
-  slots.reclaim(*s0, /*tenant=*/0);
-  EXPECT_EQ(slots.tenant_reclaimed(0), 1);
-  EXPECT_EQ(slots.tenant_reclaimed(1), 0);
-  EXPECT_EQ(slots.total_reclaimed(), 1);
-  EXPECT_EQ(slots.free(), 1);  // the slot really freed
+  pages.reclaim(*p0, /*tenant=*/0);
+  EXPECT_EQ(pages.tenant_reclaimed(0), 1);
+  EXPECT_EQ(pages.tenant_reclaimed(1), 0);
+  EXPECT_EQ(pages.total_reclaimed(), 1);
+  EXPECT_EQ(pages.free(), 1);  // the page really freed
 
-  slots.release(*s1, /*tenant=*/1);  // plain release: not a reclaim
-  EXPECT_EQ(slots.tenant_reclaimed(1), 0);
-  EXPECT_EQ(slots.total_reclaimed(), 1);
+  pages.release(*p1, /*tenant=*/1);  // plain release: not a reclaim
+  EXPECT_EQ(pages.tenant_reclaimed(1), 0);
+  EXPECT_EQ(pages.total_reclaimed(), 1);
   // Unseen tenant ids read as zero, never UB.
-  EXPECT_EQ(slots.tenant_reclaimed(7), 0);
+  EXPECT_EQ(pages.tenant_reclaimed(7), 0);
 }
 
 TEST(SlotArena, PoolThatDoesNotFitThrowsPlanError) {
   mem::Arena arena("l2.kv_pool", 1024);
-  EXPECT_THROW(mem::SlotArena(arena, "kv_set", 2, 1024), PlanError);
+  EXPECT_THROW(mem::PagedKvArena(arena, "kv_page", 2, 1024), PlanError);
 }
 
 TEST(SlotArena, RejectsNonPositiveShapes) {
   mem::Arena arena("l2.kv_pool", 1024);
-  EXPECT_THROW(mem::SlotArena(arena, "kv_set", -1, 64), Error);
-  EXPECT_THROW(mem::SlotArena(arena, "kv_set", 0, 64), Error);
-  EXPECT_THROW(mem::SlotArena(arena, "kv_set", 1, 0), Error);
+  EXPECT_THROW(mem::PagedKvArena(arena, "kv_page", -1, 64), Error);
+  EXPECT_THROW(mem::PagedKvArena(arena, "kv_page", 0, 64), Error);
+  EXPECT_THROW(mem::PagedKvArena(arena, "kv_page", 1, 0), Error);
 }
 
 TEST(BatchedEngine, PoolExceedingL2BudgetThrowsPlanError) {
@@ -1310,7 +1313,6 @@ TEST(BatchedEngine, PagedTokensIdenticalToSlotEngine) {
                                      .max_pending = 64,
                                      .prefill_chunk_tokens = chunk,
                                      .kv_page_tokens = page_tokens});
-      ASSERT_TRUE(engine.paged());
       EXPECT_EQ(engine.page_tokens(0), std::min(page_tokens, cfg.ar_context));
       std::vector<RequestId> ids;
       for (const auto& w : workloads) ids.push_back(*engine.submit(w.prompt, w.new_tokens));
@@ -1343,7 +1345,7 @@ TEST(BatchedEngine, PagedAdmitsMoreThanSlotsAtEqualKvBytes) {
   BatchedEngine paged_engine(session, {.max_batch = kPages,
                                        .max_pending = 64,
                                        .kv_page_tokens = kPageTokens});
-  ASSERT_EQ(slot_engine.kv_slots().pool_bytes(),
+  ASSERT_EQ(slot_engine.kv_pages().pool_bytes(),
             paged_engine.kv_pages().pool_bytes());
 
   // Six short requests: 2-token prompts decoding 3 tokens each peak at
@@ -1464,14 +1466,25 @@ TEST(BatchedEngine, PagedPrefixSharingSavesPromptCycles) {
 }
 
 TEST(BatchedEngine, PagedAccessorsAreModeChecked) {
+  // Default options: one page per request spanning the whole context,
+  // and a pool of max_batch full-context KV sets — the byte budget of
+  // the historical whole-request slot pool.
   const auto cfg = small_llama();
   const InferenceSession session(cfg, 4);
-  BatchedEngine slot_engine(session, {.max_batch = 2});
-  EXPECT_FALSE(slot_engine.paged());
-  EXPECT_EQ(slot_engine.page_tokens(0), 0);
-  EXPECT_THROW((void)slot_engine.kv_pages(), Error);
-  EXPECT_EQ(slot_engine.prefix_cache_pages(), 0);
-  BatchedEngine paged_engine(session, {.max_batch = 4, .kv_page_tokens = 8});
-  EXPECT_TRUE(paged_engine.paged());
-  EXPECT_THROW((void)paged_engine.kv_slots(), Error);
+  BatchedEngine engine(session, {.max_batch = 2});
+  EXPECT_EQ(engine.page_tokens(0), cfg.ar_context);
+  EXPECT_EQ(engine.kv_pages().capacity(), 2);
+  const model::KvCachePool sets(
+      1, [&session] { return session.make_chip_caches(session.config().ar_context); });
+  EXPECT_EQ(engine.kv_pages().pool_bytes(),
+            2 * sets.set_capacity_packed_bytes(session.kv_elem_bits()));
+  EXPECT_EQ(engine.prefix_cache_pages(), 0);
+  // prefix_sharing is inert at kv_page_tokens == 0: nothing registers.
+  BatchedEngine sharing(session, {.max_batch = 2,
+                                  .prefill_chunk_tokens = 2,
+                                  .prefix_sharing = true});
+  ASSERT_TRUE(sharing.submit({1, 2, 3, 4}, 2).has_value());
+  (void)sharing.run_to_completion();
+  EXPECT_EQ(sharing.prefix_cache_entries(), 0);
+  EXPECT_EQ(sharing.kv_pages().in_use(), 0);
 }

@@ -344,15 +344,15 @@ TEST(MultiModel, StaticSplitNeverHandsSlotsAcrossModels) {
       EXPECT_STREQ(engine.kv_budget().name(), "static_split");
       auto jobs = make_jobs(seed);
       const auto probe = [](const BatchedEngine& e) {
-        EXPECT_LE(e.kv_slots().tenant_in_use(0), e.model_kv_quota(0));
-        EXPECT_LE(e.kv_slots().tenant_in_use(1), e.model_kv_quota(1));
+        EXPECT_LE(e.kv_pages().tenant_in_use(0), e.model_kv_quota(0));
+        EXPECT_LE(e.kv_pages().tenant_in_use(1), e.model_kv_quota(1));
       };
       (void)run_jobs(jobs, engine, probe);
-      EXPECT_LE(engine.kv_slots().tenant_high_water(0), 2);
-      EXPECT_LE(engine.kv_slots().tenant_high_water(1), 1);
+      EXPECT_LE(engine.kv_pages().tenant_high_water(0), 2);
+      EXPECT_LE(engine.kv_pages().tenant_high_water(1), 1);
       EXPECT_LE(engine.stats().per_model[0].kv_in_use_high_water, 2);
       EXPECT_LE(engine.stats().per_model[1].kv_in_use_high_water, 1);
-      EXPECT_EQ(engine.kv_slots().in_use(), 0);
+      EXPECT_EQ(engine.kv_pages().in_use(), 0);
     }
     repro.end(seed);
   }
@@ -419,8 +419,8 @@ TEST(MultiModel, WatermarkPolicyBorrowsIdleSlotsWithinReserves) {
     ASSERT_TRUE(engine.submit(0, {1 + i, 2, 3}, 4).has_value());
   }
   (void)engine.run_to_completion();
-  EXPECT_GT(engine.kv_slots().tenant_high_water(0), engine.model_kv_quota(0));
-  EXPECT_EQ(engine.kv_slots().in_use(), 0);
+  EXPECT_GT(engine.kv_pages().tenant_high_water(0), engine.model_kv_quota(0));
+  EXPECT_EQ(engine.kv_pages().in_use(), 0);
   EXPECT_EQ(engine.stats().completed, 6);
 }
 
@@ -437,8 +437,8 @@ TEST(MultiModel, ProportionalPolicyServesBothTenantsByDemand) {
   const auto results = engine.run_to_completion();
   EXPECT_EQ(static_cast<int>(results.size()), 10);
   check_per_model_attribution(engine, results);
-  EXPECT_GE(engine.kv_slots().tenant_high_water(0), 1);
-  EXPECT_GE(engine.kv_slots().tenant_high_water(1), 1);
+  EXPECT_GE(engine.kv_pages().tenant_high_water(0), 1);
+  EXPECT_GE(engine.kv_pages().tenant_high_water(1), 1);
 }
 
 TEST(MultiModel, EdfDeadlineOnOneModelPreemptsAdmissionOfAnother) {
@@ -692,7 +692,6 @@ TEST(MultiModel, PagedStaticSplitNeverHandsPagesAcrossModels) {
                                  .max_pending = 16,
                                  .scheduler = runtime::make_scheduler(policy),
                                  .kv_page_tokens = 4});
-      ASSERT_TRUE(engine.paged());
       EXPECT_EQ(engine.page_tokens(0), 4);
       EXPECT_EQ(engine.page_tokens(1), 4);
       auto jobs = make_jobs(seed);

@@ -178,7 +178,7 @@ TEST(ServingInvariantsQuant, PackedKvLayoutsMultiplyCapacityAtEqualPoolBytes) {
     BatchedEngine engine(reg, {.total_kv_slots = c.slots});
     EXPECT_EQ(engine.model_kv_elem_bits(m),
               runtime::kv_layout_bits(c.l, /*native_bits=*/8));
-    pools.push_back(engine.kv_slots().pool_bytes());
+    pools.push_back(engine.kv_pages().pool_bytes());
 
     std::vector<runtime::RequestId> ids;
     for (int i = 0; i < 5; ++i) {
@@ -191,7 +191,7 @@ TEST(ServingInvariantsQuant, PackedKvLayoutsMultiplyCapacityAtEqualPoolBytes) {
     ASSERT_EQ(results.size(), ids.size());
     EXPECT_EQ(engine.stats().peak_batch, c.slots)
         << "layout " << runtime::kv_layout_name(c.l);
-    EXPECT_EQ(engine.kv_slots().in_use(), 0);
+    EXPECT_EQ(engine.kv_pages().in_use(), 0);
     for (const auto& r : results) {
       for (std::size_t i = 0; i < ids.size(); ++i) {
         if (r.id != ids[i]) continue;
@@ -264,7 +264,7 @@ TEST(ServingInvariantsQuant, MixedPrecisionTenantsConserveExactly) {
   EXPECT_EQ(cycles, stats.total_cycles);
   EXPECT_NEAR(energy, stats.total_energy_mj,
               1e-9 * std::fabs(stats.total_energy_mj));
-  EXPECT_EQ(engine.kv_slots().in_use(), 0);
+  EXPECT_EQ(engine.kv_pages().in_use(), 0);
 }
 
 TEST(DeploymentSpecQuant, ValidateRejectsIncoherentCombinations) {

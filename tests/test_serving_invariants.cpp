@@ -770,7 +770,6 @@ TEST(ServingInvariants, PagedRandomizedScenariosConservePages) {
     make_paged(sc, seed, sharing);
     const auto& dep = deployments()[static_cast<std::size_t>(sc.deployment)];
     BatchedEngine engine(*dep.session, sc.opts);
-    ASSERT_TRUE(engine.paged());
     const auto& pages = engine.kv_pages();
 
     // Stepped run with per-boundary arena checks (run_scenario's loop,

@@ -6,15 +6,14 @@ under ``bench/baselines/`` and exits nonzero on regression. The handler
 is selected by the baseline's ``schema`` field; the candidate must carry
 the same schema:
 
-* ``distmcu.serving.v1`` (serving_throughput): batch_sweep rows (matched
+* ``distmcu.serving.v2`` (serving_throughput): batch_sweep rows (matched
   by batch size) bound tokens_per_s below and total_cycles/mj_per_token
   above baseline by ``--tolerance``; chunk_sweep rows likewise;
   slo_policies rows additionally pin deadline_misses (the workload is
   deterministic, so any increase is a scheduling regression) and check
   the cross-policy invariant that EDF keeps strictly fewer misses than
-  FIFO at equal-or-better throughput.
-* ``distmcu.serving.v2``: everything in v1, plus overload rows (matched
-  by engine config) with every admission/shedding/preemption counter
+  FIFO at equal-or-better throughput. Overload rows (matched by engine
+  config) have every admission/shedding/preemption counter
   pinned exactly, cycle/throughput fields bounded by ``--tolerance``,
   and the cross-config invariants that preemption strictly cuts
   deadline misses versus the non-preemptive engine at identical offered
@@ -92,7 +91,6 @@ import argparse
 import json
 import sys
 
-SERVING_SCHEMA = "distmcu.serving.v1"
 SERVING_V2_SCHEMA = "distmcu.serving.v2"
 HEADLINE_SCHEMA = "distmcu.headline.v1"
 MULTIMODEL_SCHEMA = "distmcu.multimodel.v1"
@@ -226,9 +224,10 @@ def check_serving(errors, current, baseline, tol):
 
 
 def check_serving_v2(errors, current, baseline, tol):
-    """v1 tables plus the overload section: pinned admission-control
-    counters per engine config and the preemption miss-cut invariants."""
-    v1_summary = check_serving(errors, current, baseline, tol)
+    """The sweep and SLO tables plus the overload section: pinned
+    admission-control counters per engine config and the preemption
+    miss-cut invariants."""
+    slo_summary = check_serving(errors, current, baseline, tol)
     overload = require(errors, current, "overload", "current")
     check_rows(errors, "overload", overload, baseline["overload"], "config",
                lower_is_better=("total_cycles", "preemption_cycles"),
@@ -237,7 +236,7 @@ def check_serving_v2(errors, current, baseline, tol):
                        "rejected_queue_full", "rejected_hopeless", "shed",
                        "preemptions", "resumes", "queue_depth_peak"))
     if overload is None:
-        return v1_summary
+        return slo_summary
     rows = index_rows(errors, "current.overload", overload, "config")
     plain = rows.get("edf")
     pre = rows.get("edf+preempt")
@@ -245,7 +244,7 @@ def check_serving_v2(errors, current, baseline, tol):
     if plain is None or pre is None or full is None:
         fail(errors, "overload: expected configs edf / edf+preempt / "
                      "edf+preempt+failfast+shed")
-        return v1_summary
+        return slo_summary
     vals = {}
     for name, row in (("edf", plain), ("pre", pre), ("full", full)):
         for field in ("deadline_misses", "preemptions", "shed",
@@ -253,7 +252,7 @@ def check_serving_v2(errors, current, baseline, tol):
             vals[(name, field)] = require(errors, row, field,
                                           f"overload[{name}]")
     if None in vals.values():
-        return v1_summary
+        return slo_summary
     if vals[("pre", "deadline_misses")] >= vals[("edf", "deadline_misses")]:
         fail(errors,
              f"invariant: preemption misses "
@@ -277,7 +276,7 @@ def check_serving_v2(errors, current, baseline, tol):
     overload_summary = (f"overload misses {vals[('edf', 'deadline_misses')]}"
                         f" -> {vals[('pre', 'deadline_misses')]}"
                         f" -> {vals[('full', 'deadline_misses')]}")
-    return (f"{v1_summary}; {overload_summary}" if v1_summary
+    return (f"{slo_summary}; {overload_summary}" if slo_summary
             else overload_summary)
 
 
@@ -605,7 +604,6 @@ def check_quant(errors, current, baseline, tol):
 
 
 HANDLERS = {
-    SERVING_SCHEMA: check_serving,
     SERVING_V2_SCHEMA: check_serving_v2,
     HEADLINE_SCHEMA: check_headline,
     MULTIMODEL_SCHEMA: check_multimodel,

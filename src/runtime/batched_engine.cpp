@@ -1383,29 +1383,30 @@ void BatchedEngine::subphase_serial(ModelId m, int step_idx,
 
   // Emit one token per active request of this model; a request that
   // emits its final token leaves without running another forward,
-  // mirroring InferenceSession::generate exactly.
-  std::vector<Inflight> still_active;
-  still_active.reserve(active_.size());
-  std::vector<std::size_t> decoders;  // indices into the rebuilt active_
-  decoders.reserve(active_.size());
-  for (auto& r : active_) {
-    if (r.model != m) {
-      still_active.push_back(std::move(r));
-      continue;
+  // mirroring InferenceSession::generate exactly. Survivors are
+  // compacted in place, keeping their order.
+  std::vector<std::size_t>& decoders = t.decode_runs;  // into compacted active_
+  decoders.clear();
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    Inflight& r = active_[i];
+    if (r.model == m) {
+      r.tokens.push_back(r.next);
+      ++r.generated;
+      ++stats_.total_generated;
+      ++pm.total_generated;
+      if (r.generated == r.new_tokens) {
+        finish(r, step_idx);
+        continue;
+      }
+      stack_rows(r, {&r.next, 1}, r.pos);
+      decoders.push_back(kept);
     }
-    r.tokens.push_back(r.next);
-    ++r.generated;
-    ++stats_.total_generated;
-    ++pm.total_generated;
-    if (r.generated == r.new_tokens) {
-      finish(r, step_idx);
-      continue;
-    }
-    stack_rows(r, {&r.next, 1}, r.pos);
-    decoders.push_back(still_active.size());
-    still_active.push_back(std::move(r));
+    if (kept != i) active_[kept] = std::move(r);
+    ++kept;
   }
-  active_ = std::move(still_active);
+  active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(kept),
+                active_.end());
   if (decoders.empty()) return;
   decode_stack(t, decoders);
 
@@ -1716,19 +1717,21 @@ void BatchedEngine::subphase_chunked(ModelId m, int step_idx,
   }
 
   // ---- retire finished requests at the boundary ------------------------
+  // Survivors are compacted in place, keeping their order.
   if (!finishers.empty()) {
-    std::vector<Inflight> still_active;
-    still_active.reserve(active_.size() - finishers.size());
     std::size_t f = 0;
+    std::size_t kept = 0;
     for (std::size_t i = 0; i < active_.size(); ++i) {
       if (f < finishers.size() && finishers[f] == i) {
         finish(active_[i], step_idx);
         ++f;
-      } else {
-        still_active.push_back(std::move(active_[i]));
+        continue;
       }
+      if (kept != i) active_[kept] = std::move(active_[i]);
+      ++kept;
     }
-    active_ = std::move(still_active);
+    active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(kept),
+                  active_.end());
   }
 }
 

@@ -729,8 +729,8 @@ class BatchedEngine {
     std::vector<partition::RowGroup> stack_groups;
     std::vector<int> stack_ids;
     std::vector<int> stack_next;
-    /// A chunked step's prompt chunks, decode rows and finishers (indices
-    /// into active_), kept so a steady step does not allocate them.
+    /// A step's prompt chunks, decode rows and finishers (indices into
+    /// active_), kept so a steady step does not allocate them.
     std::vector<ChunkRun> chunk_runs;
     std::vector<std::size_t> decode_runs;
     std::vector<std::size_t> finishers;

@@ -400,7 +400,7 @@ AnalysisReport DeploymentAnalyzer::analyze(
     for (const auto& fp : t.fit_plans) {
       // The cap counts pages, so resident KV is cap pages beside the
       // plan's non-KV working set (the plan's own single-set KV term is
-      // swapped out, exactly like check_paged_pool_fits).
+      // swapped out, exactly like check_pool_fits).
       const Bytes resident = static_cast<Bytes>(t.cap) * t.chip_page_bytes;
       const Bytes need = fp.plan.need() - fp.plan.kv_cache_bytes + resident;
       if (need > fp.plan.l2_usable) {
@@ -430,12 +430,12 @@ AnalysisReport DeploymentAnalyzer::analyze(
     std::sort(kv_loads.begin(), kv_loads.end(),
               [](const auto& a, const auto& b) { return a.first > b.first; });
     Bytes worst_kv = 0;
-    int slots_left = opts.total_kv_slots;
+    int pages_left = opts.total_kv_slots;
     for (const auto& [chip_kv, cap] : kv_loads) {
-      if (slots_left <= 0) break;
-      const int take = std::min(cap, slots_left);
+      if (pages_left <= 0) break;
+      const int take = std::min(cap, pages_left);
       worst_kv += static_cast<Bytes>(take) * chip_kv;
-      slots_left -= take;
+      pages_left -= take;
     }
     for (std::size_t m = 0; m < entries.size(); ++m) {
       for (const auto& fp : tenants[m].fit_plans) {

@@ -15,7 +15,7 @@ namespace {
 /// resident: the memory planner validated a single request's KV against
 /// the worst-case chip's L2, so swap the plan's single-set KV term for
 /// the worst page residency at the deployment's packed width.
-void check_paged_pool_fits(const partition::MemoryPlan& mp, int cap_pages,
+void check_pool_fits(const partition::MemoryPlan& mp, int cap_pages,
                            Bytes chip_page_bytes, const char* mode,
                            const std::string& model) {
   const Bytes resident = static_cast<Bytes>(cap_pages) * chip_page_bytes;
@@ -127,7 +127,7 @@ BatchedEngine::Tenant BatchedEngine::build_tenant(const ModelDeployment& dep,
   // the chunk shape.
   const auto check_fit = [&](const partition::MemoryPlan& mp,
                              const char* mode) {
-    check_paged_pool_fits(mp, cap, t.chip_page_bytes, mode, t.name);
+    check_pool_fits(mp, cap, t.chip_page_bytes, mode, t.name);
   };
   if (chunk_blocks.empty()) {
     check_fit(prompt_block->memory, "prompt");
@@ -304,12 +304,12 @@ BatchedEngine::BatchedEngine(const ModelRegistry& registry, MultiOptions opts,
     std::sort(kv_loads.begin(), kv_loads.end(),
               [](const auto& a, const auto& b) { return a.first > b.first; });
     Bytes worst_kv = 0;
-    int slots_left = opts_.total_kv_slots;
+    int pages_left = opts_.total_kv_slots;
     for (const auto& [chip_kv, cap] : kv_loads) {
-      if (slots_left <= 0) break;
-      const int take = std::min(cap, slots_left);
+      if (pages_left <= 0) break;
+      const int take = std::min(cap, pages_left);
       worst_kv += static_cast<Bytes>(take) * chip_kv;
-      slots_left -= take;
+      pages_left -= take;
     }
     for (const Tenant& t : tenants_) {
       for (const Tenant::FitPlan& fp : t.fit_plans) {
@@ -442,11 +442,11 @@ int BatchedEngine::tokens_after_step(const Inflight& r) const {
   return r.pos + (r.generated + 1 < r.new_tokens ? 1 : 0);
 }
 
-BatchedEngine::PagedAdmitPlan BatchedEngine::plan_paged_admission(
+BatchedEngine::AdmitPlan BatchedEngine::plan_admission(
     const Inflight& p) const {
   const Tenant& t = tenants_[static_cast<std::size_t>(p.model)];
   const int pt = t.page_tokens;
-  PagedAdmitPlan plan;
+  AdmitPlan plan;
 
   if (p.checkpoint.has_value()) {
     // Resume: the leading shared_resident_tokens rows (page-aligned by
@@ -634,7 +634,7 @@ std::optional<RequestId> BatchedEngine::submit(Request req) {
 
   // Fail-fast: refuse a deadline the request's own service demand
   // already blows on an idle engine — queueing and batching only add to
-  // it, so accepting would just burn slots on a guaranteed miss.
+  // it, so accepting would just burn pages on a guaranteed miss.
   if (opts_.fail_fast_deadlines && deadline_at != kNoDeadline &&
       util::sat_add(submitted_at, est) > deadline_at) {
     last_rejection_ = Rejection::hopeless_deadline;
@@ -705,7 +705,7 @@ bool BatchedEngine::admissible_now(
       tenants_[m].pool->capacity()) {
     return false;
   }
-  const PagedAdmitPlan plan = plan_paged_admission(p);
+  const AdmitPlan plan = plan_admission(p);
   return can_grant_pages(p.model, views, free_pages,
                          plan.need_pages - plan.shared_pages);
 }
@@ -1127,7 +1127,7 @@ void BatchedEngine::admit_pending(int step_idx, double& step_energy) {
     // Re-plan after the pick: nothing changed since admissible_now saw
     // the request (no registry drops happen mid-loop), so the plan the
     // budget approved is the plan acquired below.
-    const PagedAdmitPlan plan = plan_paged_admission(r);
+    const AdmitPlan plan = plan_admission(r);
     const auto set = t.pool->acquire_set();
     DISTMCU_CHECK(set.has_value(),
                 "BatchedEngine['" + t.name + "']: budget admitted a request "
@@ -1313,7 +1313,7 @@ std::optional<int> BatchedEngine::acquire_page_for(ModelId m) {
   }
 }
 
-void BatchedEngine::grow_active_paged(int step_idx, double& step_energy) {
+void BatchedEngine::grow_active(int step_idx, double& step_energy) {
   // Decode-time (and chunk-time) page growth, budget-gated exactly like
   // admission so the per-tenant invariants stay page-granular: a request
   // whose next step needs a page the policy will not grant is
@@ -1753,7 +1753,7 @@ bool BatchedEngine::step() {
   // Grow running requests to this step's page needs before admission, so
   // admission never out-competes work already in flight for the pages
   // its next token requires.
-  grow_active_paged(step_idx, step_energy);
+  grow_active(step_idx, step_energy);
   serial_admitted_.assign(tenants_.size(), 0);
   admit_pending(step_idx, step_energy);
   bool step_prefill = false;

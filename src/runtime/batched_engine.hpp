@@ -783,13 +783,13 @@ class BatchedEngine {
   /// (or, on resume, still-resident shared pages) provides, which
   /// registry entry that is (-1 none), and the prompt tokens adoption
   /// skips recomputing.
-  struct PagedAdmitPlan {
+  struct AdmitPlan {
     int need_pages = 0;
     int shared_pages = 0;
     int entry = -1;
     int shared_tokens = 0;
   };
-  [[nodiscard]] PagedAdmitPlan plan_paged_admission(const Inflight& p) const;
+  [[nodiscard]] AdmitPlan plan_admission(const Inflight& p) const;
   /// Whether the budget policy would grant tenant `m` `n` more pages in
   /// sequence from the snapshot (each grant re-asks the policy with the
   /// occupancy advanced, mirroring how admission actually acquires).
@@ -804,7 +804,7 @@ class BatchedEngine {
   /// every active request the pages this step's new KV rows need; a
   /// request that cannot be grown is evicted (checkpointed to resume
   /// later) rather than served out of budget.
-  void grow_active_paged(int step_idx, double& step_energy);
+  void grow_active(int step_idx, double& step_energy);
   /// Drop the least-recently-used prefix-cache entry (of tenant `only`,
   /// or across all tenants when -1), releasing its page references;
   /// false when no matching entry is registered.

@@ -16,8 +16,8 @@ namespace {
 /// the worst-case chip's L2, so swap the plan's single-set KV term for
 /// the worst page residency at the deployment's packed width.
 void check_pool_fits(const partition::MemoryPlan& mp, int cap_pages,
-                           Bytes chip_page_bytes, const char* mode,
-                           const std::string& model) {
+                     Bytes chip_page_bytes, const char* mode,
+                     const std::string& model) {
   const Bytes resident = static_cast<Bytes>(cap_pages) * chip_page_bytes;
   DISTMCU_CHECK_PLAN(
       mp.need() - mp.kv_cache_bytes + resident <= mp.l2_usable,
@@ -289,7 +289,7 @@ BatchedEngine::BatchedEngine(const ModelRegistry& registry, MultiOptions opts,
   budget_ = resolve_budget(opts_);
 
   // Cross-tenant L2 fit: the per-tenant checks above validated each
-  // model next to its OWN cap of KV sets; with several tenants the
+  // model next to its OWN cap of KV pages; with several tenants the
   // shared arena can hold other models' KV at the same time, so every
   // deployment must also fit its working set next to the worst-case
   // co-resident KV the budget can produce — the arena's pages filled

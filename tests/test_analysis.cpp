@@ -218,8 +218,8 @@ TEST(AnalysisGolden, PagedConfig) {
   expect_exactly(rep, analysis::kPagedConfig);
   EXPECT_GE(rep.errors(), 1);
 
-  // prefix_sharing without paging: the flag is silently ignored by the
-  // slot engine — sound, but flagged.
+  // prefix_sharing at kv_page_tokens == 0 (whole-context pages): the
+  // flag is silently ignored by the engine — sound, but flagged.
   const auto rep2 =
       analyze(reg, {.total_kv_slots = 4, .prefix_sharing = true});
   expect_exactly(rep2, analysis::kPagedConfig);

@@ -885,10 +885,9 @@ TEST(BatchedEngineChunked, RejectsNegativeChunkTokens) {
                Error);
 }
 
-// --- KV pool: whole-context pages, the engine's default unit ----------------
-// These contracts once belonged to a separate whole-request slot arena;
-// the engine's default page (one per request, spanning the context) now
-// carries them.
+// --- KV pool -----------------------------------------------------------------
+// The suite is named for whole-request slots, which are the engine's
+// default pages: one per request, spanning the context.
 
 TEST(SlotArena, ExhaustionReturnsNulloptNotUB) {
   mem::Arena arena("l2.kv_pool", 4096);
@@ -1350,7 +1349,7 @@ TEST(BatchedEngine, PagedAdmitsMoreThanSlotsAtEqualKvBytes) {
 
   // Six short requests: 2-token prompts decoding 3 tokens each peak at
   // 4 KV rows — one page — so all six fit the paged budget at once
-  // while the slot engine can never run more than two.
+  // while whole-context pages can never run more than two.
   std::vector<RequestId> slot_ids;
   std::vector<RequestId> paged_ids;
   for (int i = 0; i < 6; ++i) {
@@ -1381,7 +1380,7 @@ TEST(BatchedEngine, PagedSubmitRejectsSequenceBeyondPageCap) {
                                  .max_pending = 8,
                                  .kv_page_tokens = 6});
   // 4 + 20 - 1 = 23 rows > 12 the cap covers, though well under the
-  // model context the slot engine checks against.
+  // model context.
   EXPECT_THROW((void)engine.submit({1, 2, 3, 4}, 20), Error);
   // At the cap exactly: accepted.
   EXPECT_TRUE(engine.submit({1, 2, 3, 4}, 9).has_value());

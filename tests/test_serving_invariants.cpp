@@ -816,7 +816,7 @@ TEST(ServingInvariants, PagedRandomizedScenariosConservePages) {
 
 TEST(ServingInvariants, PagedStreamsIdenticalAcrossSharingAndSlotMode) {
   // Functional equivalence sweep: the same randomized workload served
-  // by the slot engine, the paged engine, and the paged engine with
+  // with whole-context pages, with small pages, and with small pages and
   // prefix sharing produces bit-identical token streams for every
   // accepted request (each checked against a dedicated generate call).
   for (std::uint64_t seed = 2000; seed < 2024; ++seed) {

@@ -76,6 +76,32 @@ model::TransformerConfig example_model() {
   return cfg;
 }
 
+/// bench/fleet_serving.cpp's decoder: invariant-suite-sized blocks,
+/// 64-token context, 12-token system prompts.
+model::TransformerConfig fleet_decoder_model() {
+  auto cfg = model::TransformerConfig::tiny_llama_42m();
+  cfg.embed_dim = 32;
+  cfg.ffn_dim = 64;
+  cfg.num_heads = 4;
+  cfg.head_dim = 8;
+  cfg.num_layers = 2;
+  cfg.vocab_size = 128;
+  cfg.ar_context = 64;
+  cfg.prompt_len = 12;
+  cfg.validate();
+  return cfg;
+}
+
+/// bench/fleet_serving.cpp's encoder, deployed on the 4-chip nodes only.
+model::TransformerConfig fleet_encoder_model() {
+  auto cfg = fleet_decoder_model();
+  cfg.ffn_dim = 96;
+  cfg.ar_context = 16;
+  cfg.mask = model::MaskKind::bidirectional;
+  cfg.validate();
+  return cfg;
+}
+
 struct NamedConfig {
   std::string name;
   std::function<analysis::AnalysisReport()> run;
@@ -243,6 +269,96 @@ std::vector<NamedConfig> shipped_configs() {
                                 .count = 4});
          return analysis::DeploymentAnalyzer::analyze(
              reg, {.total_kv_slots = 2, .max_pending = 16}, &wl);
+       }});
+
+  // bench/paged_serving.cpp: one single-model engine per KV layout at
+  // equal pool bytes — two whole-context pages, then 32 four-token
+  // pages without and with prefix sharing. The workload carries the
+  // longest job (the one the page-cap guard binds on).
+  struct PagedShape {
+    const char* name;
+    int pages;
+    int page_tokens;
+    bool prefix_sharing;
+  };
+  for (const PagedShape& p : {PagedShape{"paged_whole_context", 2, 0, false},
+                              PagedShape{"paged_pages", 32, 4, false},
+                              PagedShape{"paged_prefix", 32, 4, true}}) {
+    configs.push_back({p.name, [serving, p] {
+                         runtime::ModelRegistry reg;
+                         (void)reg.add(*serving, "tinyllama",
+                                       /*prefill_chunk_tokens=*/4,
+                                       /*kv_quota=*/p.pages,
+                                       /*max_resident=*/p.pages);
+                         analysis::Workload wl;
+                         wl.requests.push_back(
+                             {.model = 0,
+                              .prompt_tokens = 8,
+                              .new_tokens = 12,
+                              .deadline_cycles = runtime::kNoDeadline,
+                              .count = 12});
+                         return analysis::DeploymentAnalyzer::analyze(
+                             reg,
+                             {.total_kv_slots = p.pages,
+                              .max_pending = 64,
+                              .kv_page_tokens = p.page_tokens,
+                              .prefix_sharing = p.prefix_sharing},
+                             &wl);
+                       }});
+  }
+
+  // bench/fleet_serving.cpp: its two node shapes, both paged with
+  // prefix sharing — a 4-chip node serving the decoder and the encoder
+  // from 48 four-token pages, and a 2-chip decoder-only node with 24
+  // eight-token pages. The workload carries the fleet-wide classes at
+  // their longest shapes and their deadlines.
+  auto fleet_decoder4 =
+      std::make_shared<runtime::InferenceSession>(fleet_decoder_model(), 4);
+  auto fleet_decoder2 =
+      std::make_shared<runtime::InferenceSession>(fleet_decoder_model(), 2);
+  auto fleet_encoder4 =
+      std::make_shared<runtime::InferenceSession>(fleet_encoder_model(), 4);
+  const analysis::SloRequest fleet_decode{.model = 0,
+                                          .prompt_tokens = 12,
+                                          .new_tokens = 9,
+                                          .deadline_cycles = 3'000'000,
+                                          .count = 600};
+  configs.push_back(
+      {"fleet_fast_node", [fleet_decoder4, fleet_encoder4, fleet_decode] {
+         runtime::ModelRegistry reg;
+         (void)reg.add(*fleet_decoder4, "tinyllama",
+                       /*prefill_chunk_tokens=*/4, /*kv_quota=*/36);
+         (void)reg.add(*fleet_encoder4, "tinybert",
+                       /*prefill_chunk_tokens=*/4, /*kv_quota=*/12);
+         analysis::Workload wl;
+         wl.requests.push_back(fleet_decode);
+         wl.requests.push_back({.model = 1,
+                                .prompt_tokens = 12,
+                                .new_tokens = 0,
+                                .deadline_cycles = 2'200'000,
+                                .count = 200});
+         return analysis::DeploymentAnalyzer::analyze(
+             reg,
+             {.total_kv_slots = 48,
+              .max_pending = 24,
+              .kv_page_tokens = 4,
+              .prefix_sharing = true},
+             &wl);
+       }});
+  configs.push_back(
+      {"fleet_slow_node", [fleet_decoder2, fleet_decode] {
+         runtime::ModelRegistry reg;
+         (void)reg.add(*fleet_decoder2, "tinyllama",
+                       /*prefill_chunk_tokens=*/4, /*kv_quota=*/24);
+         analysis::Workload wl;
+         wl.requests.push_back(fleet_decode);
+         return analysis::DeploymentAnalyzer::analyze(
+             reg,
+             {.total_kv_slots = 24,
+              .max_pending = 24,
+              .kv_page_tokens = 8,
+              .prefix_sharing = true},
+             &wl);
        }});
 
   return configs;

@@ -6,7 +6,7 @@
 #include <sstream>
 #include <utility>
 
-#include "partition/memory_planner.hpp"
+#include "runtime/tenant_plan.hpp"
 #include "util/units.hpp"
 
 namespace distmcu::analysis {
@@ -14,7 +14,6 @@ namespace distmcu::analysis {
 namespace {
 
 using runtime::BatchedEngine;
-using runtime::InferenceSession;
 using runtime::ModelDeployment;
 using runtime::ModelRegistry;
 
@@ -53,121 +52,6 @@ bool lane_safe(const std::string& name) {
     return std::isalnum(u) != 0 || c == '_' || c == '-' || c == '.' ||
            c == ':';
   });
-}
-
-/// Static mirror of one BatchedEngine::Tenant's cost/fit derivation —
-/// the same block measurements, decomposed the same way, without
-/// allocating any cache pool.
-struct TenantModel {
-  int chunk_tokens = 0;
-  struct ChunkCost {
-    Cycles compute = 0;
-    Cycles stream = 0;
-  };
-  std::vector<ChunkCost> chunk_costs;
-  Cycles prompt_cycles = 0;
-  Cycles ar_shared_cycles = 0;   // per-step weight stream (port occupancy)
-  Cycles ar_per_req_cycles = 0;  // per-request decode compute
-  /// Full-context per-chip KV at the deployment's packed entry width,
-  /// scaled from the planner's native width like BatchedEngine::build_tenant.
-  Bytes chip_kv_bytes = 0;
-  struct FitPlan {
-    const char* mode = "";
-    partition::MemoryPlan plan;
-  };
-  std::vector<FitPlan> fit_plans;
-  int quota = 0;
-  int cap = 0;
-  /// Effective page size in token positions (kv_page_tokens clamped to
-  /// ar_context, ar_context when 0) and the worst-case-chip L2 footprint
-  /// of one page — the per-unit bytes of every fit check, rounded up
-  /// exactly like the engine's.
-  int page_tokens = 0;
-  Bytes chip_page_bytes = 0;
-  bool measured = false;  // block measurements succeeded (no PlanError)
-};
-
-/// Same composition as BatchedEngine::estimate_request_cost: the
-/// request's own service demand, excluding batch-shared streaming and
-/// queueing.
-Cycles estimate_request_cost(const TenantModel& t, int prompt_tokens,
-                             int new_tokens) {
-  Cycles est = 0;
-  if (t.chunk_tokens > 0) {
-    const int n_chunks = (prompt_tokens + t.chunk_tokens - 1) / t.chunk_tokens;
-    for (int i = 0; i < n_chunks; ++i) {
-      const auto& cc = t.chunk_costs[static_cast<std::size_t>(i)];
-      est += cc.compute + cc.stream;
-    }
-  } else {
-    est = t.prompt_cycles;
-  }
-  if (new_tokens > 1) {
-    est += static_cast<Cycles>(new_tokens - 1) * t.ar_per_req_cycles;
-  }
-  return est;
-}
-
-/// Measure one deployment's block program and decompose it exactly like
-/// BatchedEngine::build_tenant. PlanError from the measurement itself
-/// (single-request plan infeasible) becomes DMCU-MEM-001.
-void measure_tenant(const ModelDeployment& dep, TenantModel& t,
-                    AnalysisReport& report) {
-  const InferenceSession& session = *dep.session;
-  const int prompt_len = session.config().prompt_len;
-  t.chunk_tokens = dep.prefill_chunk_tokens == 0
-                       ? 0
-                       : std::min(dep.prefill_chunk_tokens, prompt_len);
-  try {
-    std::optional<runtime::BlockResult> prompt_block;
-    std::vector<runtime::BlockResult> chunk_blocks;
-    if (t.chunk_tokens > 0) {
-      const int n = (prompt_len + t.chunk_tokens - 1) / t.chunk_tokens;
-      std::vector<int> spans;
-      spans.reserve(static_cast<std::size_t>(n));
-      for (int i = 0; i < n; ++i) {
-        spans.push_back(std::min((i + 1) * t.chunk_tokens, prompt_len));
-      }
-      chunk_blocks = session.run_prompt_chunks(t.chunk_tokens, spans);
-    } else {
-      prompt_block = session.run_block(model::Mode::prompt);
-    }
-    const runtime::BlockResult ar_block =
-        session.run_block(model::Mode::autoregressive);
-
-    if (chunk_blocks.empty()) {
-      t.fit_plans.push_back({"prompt", prompt_block->memory});
-    } else {
-      t.fit_plans.push_back({"chunked-prompt", chunk_blocks.front().memory});
-    }
-    t.fit_plans.push_back({"autoregressive", ar_block.memory});
-    t.chip_kv_bytes = runtime::scale_kv_bytes(
-        ar_block.memory.kv_cache_bytes, session.kv_elem_bits(),
-        static_cast<int>(session.system().precision.kv_bytes) *
-            runtime::kBitsPerByte);
-
-    const auto layers = static_cast<Cycles>(session.config().num_layers);
-    if (prompt_block.has_value()) {
-      t.prompt_cycles = prompt_block->report.block_cycles * layers;
-    }
-    t.ar_shared_cycles = ar_block.report.breakdown.dma_l3_l2 * layers;
-    t.ar_per_req_cycles =
-        (ar_block.report.block_cycles - ar_block.report.breakdown.dma_l3_l2) *
-        layers;
-    t.chunk_costs.reserve(chunk_blocks.size());
-    for (const auto& cb : chunk_blocks) {
-      TenantModel::ChunkCost cc;
-      cc.stream = cb.report.breakdown.dma_l3_l2 * layers;
-      cc.compute =
-          (cb.report.block_cycles - cb.report.breakdown.dma_l3_l2) * layers;
-      t.chunk_costs.push_back(cc);
-    }
-    t.measured = true;
-  } catch (const PlanError& e) {
-    emit(report, kMemOverflow, Severity::error, deployment_entity(dep),
-         std::string("single-request memory plan is infeasible: ") + e.what(),
-         "shrink the model shape, raise the chip count, or lower ar_context");
-  }
 }
 
 }  // namespace
@@ -318,95 +202,73 @@ AnalysisReport DeploymentAnalyzer::analyze(
     }
   }
 
-  // ---- DMCU-KV-002: budget policy slot conservation -------------------
-  // Mirrors the engine's quota/cap derivation exactly.
-  int explicit_sum = 0;
-  int unset = 0;
-  for (const auto& e : entries) {
-    if (e.kv_quota > 0) {
-      explicit_sum += e.kv_quota;
-    } else {
-      ++unset;
-    }
-  }
-  if (explicit_sum > opts.total_kv_slots) {
-    emit(report, kKvBudget, Severity::error, "options",
-         "deployment quotas (" + std::to_string(explicit_sum) +
-             ") oversubscribe total_kv_slots (" +
-             std::to_string(opts.total_kv_slots) +
-             "); no policy can conserve slots under these reserves",
-         "raise total_kv_slots or lower per-deployment kv_quota");
-    return report;  // quota derivation is undefined past this point
-  }
-  const int rem = opts.total_kv_slots - explicit_sum;
-  if (unset > 0 && rem < unset) {
-    emit(report, kKvBudget, Severity::error, "options",
-         "total_kv_slots leaves no KV slot for " +
-             std::to_string(unset - rem) +
-             " deployment(s) with an unset quota; their static reserve "
-             "derives to zero and the split can never drain them",
-         "raise total_kv_slots or lower explicit quotas");
-    return report;
-  }
-  const bool borrowing =
-      opts.kv_budget != nullptr && opts.kv_budget->allows_borrowing();
-  std::vector<TenantModel> tenants(entries.size());
-  int unset_seen = 0;
-  for (std::size_t m = 0; m < entries.size(); ++m) {
-    const auto& e = entries[m];
-    int quota = e.kv_quota;
-    if (quota == 0) {
-      quota = rem / unset + (static_cast<int>(unset_seen) < rem % unset ? 1 : 0);
-      ++unset_seen;
-    }
-    if (quota < 1) {
-      emit(report, kKvBudget, Severity::error, deployment_entity(e),
+  // ---- DMCU-KV-002: budget policy page conservation -------------------
+  const runtime::KvShares kv = runtime::derive_kv_shares(
+      entries, opts.total_kv_slots,
+      opts.kv_budget != nullptr && opts.kv_budget->allows_borrowing());
+  switch (kv.fault) {
+    case runtime::KvShares::Fault::none:
+      break;
+    case runtime::KvShares::Fault::oversubscribed:
+      emit(report, kKvBudget, Severity::error, "options",
+           "deployment quotas (" + std::to_string(kv.explicit_sum) +
+               ") oversubscribe total_kv_slots (" +
+               std::to_string(opts.total_kv_slots) +
+               "); no policy can conserve slots under these reserves",
+           "raise total_kv_slots or lower per-deployment kv_quota");
+      return report;  // quota derivation is undefined past this point
+    case runtime::KvShares::Fault::no_reserve:
+      emit(report, kKvBudget, Severity::error, "options",
+           "total_kv_slots leaves no KV slot for " +
+               std::to_string(kv.starved) +
+               " deployment(s) with an unset quota; their static reserve "
+               "derives to zero and the split can never drain them",
+           "raise total_kv_slots or lower explicit quotas");
+      return report;
+    case runtime::KvShares::Fault::zero_quota:
+      emit(report, kKvBudget, Severity::error,
+           deployment_entity(
+               entries[static_cast<std::size_t>(kv.zero_quota_model)]),
            "derived a zero KV quota", "raise total_kv_slots");
       return report;
-    }
-    int cap = e.max_resident > 0
-                  ? std::min(e.max_resident, opts.total_kv_slots)
-                  : (borrowing ? opts.total_kv_slots : quota);
-    cap = std::max(cap, 1);
-    tenants[m].quota = quota;
-    tenants[m].cap = cap;
+  }
+  for (std::size_t m = 0; m < entries.size(); ++m) {
+    const auto [quota, cap] = kv.shares[m];
     if (cap < quota) {
-      emit(report, kKvBudget, Severity::warning, deployment_entity(e),
+      emit(report, kKvBudget, Severity::warning, deployment_entity(entries[m]),
            "max_resident caps the tenant at " + std::to_string(cap) +
                " slots below its quota of " + std::to_string(quota) +
                "; the " + std::to_string(quota - cap) +
                "-slot phantom reserve can never be occupied, and "
                "unmet-reserve accounting throttles other tenants' borrows "
                "against it forever",
-         "lower kv_quota to max_resident or raise max_resident");
+           "lower kv_quota to max_resident or raise max_resident");
     }
   }
 
   // ---- DMCU-MEM-001: L2 fits ------------------------------------------
+  // The engine's own plans and fit arithmetic: a measurement PlanError,
+  // then each tenant's cap of resident pages beside its working set.
+  std::vector<std::optional<runtime::TenantPlan>> plans(entries.size());
   for (std::size_t m = 0; m < entries.size(); ++m) {
-    TenantModel& t = tenants[m];
-    measure_tenant(entries[m], t, report);
-    if (!t.measured) continue;
-    // Same derivation as BatchedEngine::build_tenant: the page size is
-    // clamped to the context (the whole context at 0), and one page's
-    // per-chip share of the full-context KV footprint is rounded up so
-    // fits never under-reserve.
-    const int ctx = entries[m].session->config().ar_context;
-    t.page_tokens =
-        runtime::BatchedEngine::effective_page_tokens(opts.kv_page_tokens, ctx);
-    t.chip_page_bytes = (t.chip_kv_bytes * static_cast<Bytes>(t.page_tokens) +
-                         static_cast<Bytes>(ctx) - 1) /
-                        static_cast<Bytes>(ctx);
-    for (const auto& fp : t.fit_plans) {
-      // The cap counts pages, so resident KV is cap pages beside the
-      // plan's non-KV working set (the plan's own single-set KV term is
-      // swapped out, exactly like check_pool_fits).
-      const Bytes resident = static_cast<Bytes>(t.cap) * t.chip_page_bytes;
-      const Bytes need = fp.plan.need() - fp.plan.kv_cache_bytes + resident;
+    try {
+      plans[m] = runtime::plan_tenant(entries[m], opts.kv_page_tokens);
+    } catch (const PlanError& e) {
+      emit(report, kMemOverflow, Severity::error, deployment_entity(entries[m]),
+           std::string("single-request memory plan is infeasible: ") +
+               e.what(),
+           "shrink the model shape, raise the chip count, or lower "
+           "ar_context");
+      continue;
+    }
+    const int cap = kv.shares[m].cap;
+    for (const runtime::FitPlan& fp : plans[m]->fit_plans) {
+      const Bytes need = runtime::resident_need(
+          fp.plan, static_cast<Bytes>(cap) * plans[m]->chip_page_bytes);
       if (need > fp.plan.l2_usable) {
         emit(report, kMemOverflow, Severity::error,
              deployment_entity(entries[m]),
-             std::to_string(t.cap) + " resident KV pages need " +
+             std::to_string(cap) + " resident KV pages need " +
                  util::format_bytes(need) + " of L2 in " + fp.mode +
                  " mode but only " + util::format_bytes(fp.plan.l2_usable) +
                  " is usable",
@@ -416,31 +278,18 @@ AnalysisReport DeploymentAnalyzer::analyze(
     }
   }
   const bool all_measured =
-      std::all_of(tenants.begin(), tenants.end(),
-                  [](const TenantModel& t) { return t.measured; });
+      std::all_of(plans.begin(), plans.end(),
+                  [](const auto& p) { return p.has_value(); });
   if (entries.size() > 1 && all_measured) {
-    // Worst-case co-resident KV: the arena's pages filled greedily with
-    // the largest per-chip page footprints, each tenant bounded by its
-    // cap in pages.
     std::vector<std::pair<Bytes, int>> kv_loads;
-    kv_loads.reserve(tenants.size());
-    for (const TenantModel& t : tenants) {
-      kv_loads.emplace_back(t.chip_page_bytes, t.cap);
-    }
-    std::sort(kv_loads.begin(), kv_loads.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-    Bytes worst_kv = 0;
-    int pages_left = opts.total_kv_slots;
-    for (const auto& [chip_kv, cap] : kv_loads) {
-      if (pages_left <= 0) break;
-      const int take = std::min(cap, pages_left);
-      worst_kv += static_cast<Bytes>(take) * chip_kv;
-      pages_left -= take;
-    }
     for (std::size_t m = 0; m < entries.size(); ++m) {
-      for (const auto& fp : tenants[m].fit_plans) {
-        const Bytes need_beside =
-            fp.plan.need() - fp.plan.kv_cache_bytes + worst_kv;
+      kv_loads.emplace_back(plans[m]->chip_page_bytes, kv.shares[m].cap);
+    }
+    const Bytes worst_kv =
+        runtime::worst_resident_kv(std::move(kv_loads), opts.total_kv_slots);
+    for (std::size_t m = 0; m < entries.size(); ++m) {
+      for (const runtime::FitPlan& fp : plans[m]->fit_plans) {
+        const Bytes need_beside = runtime::resident_need(fp.plan, worst_kv);
         if (need_beside > fp.plan.l2_usable) {
           emit(report, kMemOverflow, Severity::error,
                deployment_entity(entries[m]),
@@ -464,11 +313,11 @@ AnalysisReport DeploymentAnalyzer::analyze(
   if (all_measured) {
     Cycles total_stream = 0;
     Cycles total_compute = 0;
-    for (const TenantModel& t : tenants) {
-      total_stream = util::sat_add(total_stream, t.ar_shared_cycles);
+    for (std::size_t m = 0; m < entries.size(); ++m) {
+      total_stream = util::sat_add(total_stream, plans[m]->ar_shared_cycles);
       total_compute = util::sat_add(
           total_compute,
-          static_cast<Cycles>(t.cap) * t.ar_per_req_cycles);
+          static_cast<Cycles>(kv.shares[m].cap) * plans[m]->ar_per_req_cycles);
     }
     if (total_stream > total_compute) {
       emit(report, kPortOversub, Severity::warning, "options",
@@ -523,32 +372,32 @@ AnalysisReport DeploymentAnalyzer::analyze(
              "raise the deployment's prompt_len or chunk the request");
         shape_ok = false;
       }
-      if (shape_ok) {
-        // Mirror of submit()'s livelock guard: a sequence whose full KV
-        // (prompt rows plus every decode row but the last) exceeds the
-        // tenant's page cap would be admitted, grown to the cap, and
-        // evicted forever.
-        const int pt = runtime::BatchedEngine::effective_page_tokens(
-            opts.kv_page_tokens, cfg.ar_context);
-        const int max_rows = rq.prompt_tokens + std::max(0, rq.new_tokens - 1);
-        const int need_pages = (max_rows + pt - 1) / pt;
-        const int cap = tenants[static_cast<std::size_t>(rq.model)].cap;
-        if (need_pages > cap) {
-          emit(report, kPagedConfig, Severity::error, entity,
-               "sequence needs " + std::to_string(need_pages) +
-                   " KV pages but " + deployment_entity(dep) +
-                   " is capped at " + std::to_string(cap) +
-                   "; submit() refuses it up front (grow/evict livelock)",
-               "raise max_resident/total_kv_slots or kv_page_tokens, or "
-               "shorten the request");
-          shape_ok = false;
-        }
+      const int pt =
+          runtime::effective_page_tokens(opts.kv_page_tokens, cfg.ar_context);
+      const int cap = kv.shares[static_cast<std::size_t>(rq.model)].cap;
+      // submit()'s livelock guard.
+      if (shape_ok &&
+          !runtime::fits_page_cap(pt, cap, rq.prompt_tokens, rq.new_tokens)) {
+        emit(report, kPagedConfig, Severity::error, entity,
+             "sequence needs " +
+                 std::to_string(runtime::sequence_pages(pt, rq.prompt_tokens,
+                                                        rq.new_tokens)) +
+                 " KV pages but " + deployment_entity(dep) +
+                 " is capped at " + std::to_string(cap) +
+                 "; submit() refuses it up front (grow/evict livelock)",
+             "raise max_resident/total_kv_slots or kv_page_tokens, or "
+             "shorten the request");
+        shape_ok = false;
       }
-      if (!shape_ok || rq.deadline_cycles == runtime::kNoDeadline) continue;
-      const TenantModel& t = tenants[static_cast<std::size_t>(rq.model)];
-      if (!t.measured) continue;  // already reported as DMCU-MEM-001
+      const auto& plan = plans[static_cast<std::size_t>(rq.model)];
+      // An unmeasured plan is already reported as DMCU-MEM-001.
+      if (!shape_ok || rq.deadline_cycles == runtime::kNoDeadline ||
+          !plan.has_value()) {
+        continue;
+      }
       const Cycles est =
-          estimate_request_cost(t, rq.prompt_tokens, rq.new_tokens);
+          runtime::estimate_request_cost(*plan, rq.prompt_tokens,
+                                         rq.new_tokens);
       if (est > rq.deadline_cycles) {
         emit(report, kSloInfeasible, Severity::error, entity,
              "deadline of " + std::to_string(rq.deadline_cycles) +

@@ -121,9 +121,11 @@ class AnalysisError : public Error {
 ///    a workload sequence whose full KV needs more pages than its
 ///    tenant's cap (the engine's submit-time livelock guard)
 ///
-/// The memory, quota, and cap derivations mirror BatchedEngine
-/// construction exactly: a report free of CFG/KV/MEM errors constructs,
-/// and one carrying any of them throws — the equivalence the randomized
+/// The measurements, quotas, caps, page sizes and fit arithmetic come
+/// from runtime/tenant_plan.hpp, the module BatchedEngine construction
+/// derives its tenants with; the analyzer only turns them into
+/// diagnostics. A report free of CFG/KV/MEM errors constructs, and one
+/// carrying any of them throws — the equivalence the randomized
 /// cross-check test pins.
 class DeploymentAnalyzer {
  public:

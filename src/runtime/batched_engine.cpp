@@ -15,43 +15,16 @@ namespace {
 /// resident: the memory planner validated a single request's KV against
 /// the worst-case chip's L2, so swap the plan's single-set KV term for
 /// the worst page residency at the deployment's packed width.
-void check_pool_fits(const partition::MemoryPlan& mp, int cap_pages,
-                     Bytes chip_page_bytes, const char* mode,
+void check_pool_fits(const FitPlan& fp, int cap_pages, Bytes chip_page_bytes,
                      const std::string& model) {
-  const Bytes resident = static_cast<Bytes>(cap_pages) * chip_page_bytes;
+  const Bytes need = resident_need(
+      fp.plan, static_cast<Bytes>(cap_pages) * chip_page_bytes);
   DISTMCU_CHECK_PLAN(
-      mp.need() - mp.kv_cache_bytes + resident <= mp.l2_usable,
+      need <= fp.plan.l2_usable,
       "BatchedEngine['" + model + "']: " + std::to_string(cap_pages) +
-          " resident KV pages need " +
-          util::format_bytes(mp.need() - mp.kv_cache_bytes + resident) +
-          " of L2 in " + mode + " mode but only " +
-          util::format_bytes(mp.l2_usable) +
+          " resident KV pages need " + util::format_bytes(need) + " of L2 in " +
+          fp.mode + " mode but only " + util::format_bytes(fp.plan.l2_usable) +
           " is usable; lower max_batch, kv_page_tokens, or ar_context");
-}
-
-/// Effective chunk size: clamped to the deployment's static prompt
-/// shape, 0 when chunking is disabled.
-int effective_chunk_tokens(int chunk_tokens, int prompt_len) {
-  DISTMCU_CHECK(chunk_tokens >= 0,
-              "BatchedEngine: prefill_chunk_tokens must be >= 0");
-  if (chunk_tokens == 0) return 0;
-  return std::min(chunk_tokens, prompt_len);
-}
-
-/// One chunk-shaped block measurement per chunk position of the padded
-/// static prompt: chunk i processes C rows attending to (i+1)*C cached
-/// positions (capped at the full prompt shape).
-std::vector<BlockResult> build_chunk_blocks(const InferenceSession& session,
-                                            int chunk_tokens) {
-  if (chunk_tokens <= 0) return {};
-  const int prompt_len = session.config().prompt_len;
-  const int n = (prompt_len + chunk_tokens - 1) / chunk_tokens;
-  std::vector<int> spans;
-  spans.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    spans.push_back(std::min((i + 1) * chunk_tokens, prompt_len));
-  }
-  return session.run_prompt_chunks(chunk_tokens, spans);
 }
 
 /// The effective budget policy: the configured one, or the process-wide
@@ -76,117 +49,33 @@ ModelRegistry single_model_registry(const InferenceSession& session,
 }  // namespace
 
 BatchedEngine::Tenant BatchedEngine::build_tenant(const ModelDeployment& dep,
-                                                  int quota, int cap,
-                                                  int page_tokens) {
-  DISTMCU_CHECK(dep.session != nullptr,
-              "BatchedEngine: registry entry '" + dep.name +
-                  "' carries no session");
-  const InferenceSession& session = *dep.session;
+                                                  KvShare share,
+                                                  int kv_page_tokens) {
   Tenant t;
+  static_cast<TenantPlan&>(t) = plan_tenant(dep, kv_page_tokens);
   t.session = dep.session;
   t.owned_session = dep.owned_session;
   t.name = dep.name;
-  t.quota = quota;
-  t.cap = cap;
-  // Per-precision byte accounting: every KV byte count below (sets,
-  // pages, fit checks) is scaled from the planner's native width to the
-  // deployment's packed entry width.
-  t.kv_elem_bits = session.kv_elem_bits();
-  const int native_kv_bits =
-      static_cast<int>(session.system().precision.kv_bytes) * kBitsPerByte;
-  t.chunk_tokens =
-      effective_chunk_tokens(dep.prefill_chunk_tokens,
-                             session.config().prompt_len);
-
-  // The full prompt shape is only planned and measured in serial mode:
-  // chunked serving must stay constructible on deployments whose
-  // full-prompt activations cannot fit L2 at all.
-  std::optional<BlockResult> prompt_block;
-  std::vector<BlockResult> chunk_blocks;
-  if (t.chunk_tokens > 0) {
-    chunk_blocks = build_chunk_blocks(session, t.chunk_tokens);
-  } else {
-    prompt_block = session.run_block(model::Mode::prompt);
-  }
-  const BlockResult ar_block = session.run_block(model::Mode::autoregressive);
-  const Bytes chip_kv_bytes = scale_kv_bytes(ar_block.memory.kv_cache_bytes,
-                                             t.kv_elem_bits, native_kv_bits);
-
-  // The per-chip unit of the fit checks is one page's share of the
-  // full-context KV footprint (rounded up per chip so the check never
-  // under-reserves); at kv_page_tokens == 0 a page is the whole context.
-  const int ctx = session.config().ar_context;
-  t.page_tokens = effective_page_tokens(page_tokens, ctx);
-  t.chip_page_bytes = (chip_kv_bytes * static_cast<Bytes>(t.page_tokens) +
-                       static_cast<Bytes>(ctx) - 1) /
-                      static_cast<Bytes>(ctx);
+  t.quota = share.quota;
+  t.cap = share.cap;
 
   // Validate the pooled-KV fit for both serving phases BEFORE any cache
-  // tensors are allocated. With chunking enabled the prompt phase
-  // materializes chunk-shaped activations only, so its fit is checked at
-  // the chunk shape.
-  const auto check_fit = [&](const partition::MemoryPlan& mp,
-                             const char* mode) {
-    check_pool_fits(mp, cap, t.chip_page_bytes, mode, t.name);
-  };
-  if (chunk_blocks.empty()) {
-    check_fit(prompt_block->memory, "prompt");
-    t.fit_plans.push_back({"prompt", prompt_block->memory});
-  } else {
-    check_fit(chunk_blocks.front().memory, "chunked-prompt");
-    t.fit_plans.push_back({"chunked-prompt", chunk_blocks.front().memory});
-  }
-  check_fit(ar_block.memory, "autoregressive");
-  t.fit_plans.push_back({"autoregressive", ar_block.memory});
-
-  const auto layers = static_cast<Cycles>(session.config().num_layers);
-
-  if (prompt_block.has_value()) {
-    t.prompt_cycles = prompt_block->report.block_cycles * layers;
-    t.prompt_energy_mj =
-        prompt_block->energy_mj() * static_cast<double>(layers);
-    t.prompt_stream_cycles =
-        prompt_block->report.breakdown.dma_l3_l2 * layers;
-  }
-
-  // Decode-step decomposition: the L3->L2 portion is block-weight
-  // streaming, fetched once per layer no matter how many requests are in
-  // the batch; everything else scales with the batch.
-  t.ar_shared_cycles = ar_block.report.breakdown.dma_l3_l2 * layers;
-  t.ar_per_req_cycles =
-      (ar_block.report.block_cycles - ar_block.report.breakdown.dma_l3_l2) *
-      layers;
-  t.ar_shared_energy_mj =
-      util::pj_to_mj(ar_block.energy.l3) * static_cast<double>(layers);
-  t.ar_per_req_energy_mj =
-      util::pj_to_mj(ar_block.energy.core + ar_block.energy.l2 +
-                     ar_block.energy.c2c) *
-      static_cast<double>(layers);
-  t.stream_bytes_per_step = ar_block.report.traffic.l3_l2 * layers;
-
-  // Chunk decomposition mirrors the decode one: the chunk's own L3 share
-  // becomes asynchronous port occupancy racing the step, the rest is
-  // serialized compute.
-  t.chunk_costs.reserve(chunk_blocks.size());
-  for (const auto& cb : chunk_blocks) {
-    ChunkCost cc;
-    cc.stream = cb.report.breakdown.dma_l3_l2 * layers;
-    cc.compute =
-        (cb.report.block_cycles - cb.report.breakdown.dma_l3_l2) * layers;
-    cc.energy_mj = cb.energy_mj() * static_cast<double>(layers);
-    cc.l3_bytes = cb.report.traffic.l3_l2 * layers;
-    t.chunk_costs.push_back(cc);
+  // tensors are allocated.
+  for (const FitPlan& fp : t.fit_plans) {
+    check_pool_fits(fp, t.cap, t.chip_page_bytes, t.name);
   }
 
   // Physical cache sets, one pool per model (functional isolation); the
   // shared byte budget is charged by the engine's tenant-tagged arena.
-  t.pool.emplace(cap, [&session] {
+  const InferenceSession& session = *t.session;
+  t.pool.emplace(t.cap, [&session] {
     return session.make_chip_caches(session.config().ar_context);
   });
   t.kv_set_bytes = t.pool->set_capacity_packed_bytes(t.kv_elem_bits);
   // Exact: a set's capacity is 2 * ctx * dim * elem summed over caches,
   // so the per-context division has no remainder.
-  t.page_bytes = t.kv_set_bytes / static_cast<Bytes>(ctx) *
+  t.page_bytes = t.kv_set_bytes /
+                 static_cast<Bytes>(session.config().ar_context) *
                  static_cast<Bytes>(t.page_tokens);
   return t;
 }
@@ -220,45 +109,30 @@ BatchedEngine::BatchedEngine(const ModelRegistry& registry, MultiOptions opts,
                     "BatchedEngine: max_pending must be >= 0");
         DISTMCU_CHECK(opts_.kv_page_tokens >= 0,
                     "BatchedEngine: kv_page_tokens must be >= 0");
-        // Quota derivation: explicit quotas are kept, unset (0) quotas
-        // share the remaining pages equally (remainder to the earliest
-        // deployments), and every deployment must end up with at least
-        // one reserved page so the static split can always drain it.
-        int explicit_sum = 0;
-        int unset = 0;
-        for (const auto& e : registry.entries()) {
-          if (e.kv_quota > 0) {
-            explicit_sum += e.kv_quota;
-          } else {
-            ++unset;
-          }
-        }
-        DISTMCU_CHECK(explicit_sum <= opts_.total_kv_slots,
-                    "BatchedEngine: deployment quotas (" +
-                        std::to_string(explicit_sum) +
-                        ") exceed total_kv_slots (" +
-                        std::to_string(opts_.total_kv_slots) + ")");
-        const int rem = opts_.total_kv_slots - explicit_sum;
-        DISTMCU_CHECK(unset == 0 || rem >= unset,
-                    "BatchedEngine: total_kv_slots leaves no KV page for "
-                    "some deployment; raise total_kv_slots or lower quotas");
-        const bool borrowing = resolve_budget(opts_)->allows_borrowing();
+        // Every deployment must end up with at least one reserved page
+        // so the static split can always drain it.
+        const auto& entries = registry.entries();
+        const KvShares kv = derive_kv_shares(
+            entries, opts_.total_kv_slots,
+            resolve_budget(opts_)->allows_borrowing());
+        DISTMCU_CHECK(kv.fault != KvShares::Fault::oversubscribed,
+                      "BatchedEngine: deployment quotas (" +
+                          std::to_string(kv.explicit_sum) +
+                          ") exceed total_kv_slots (" +
+                          std::to_string(opts_.total_kv_slots) + ")");
+        DISTMCU_CHECK(kv.fault != KvShares::Fault::no_reserve,
+                      "BatchedEngine: total_kv_slots leaves no KV page for "
+                      "some deployment; raise total_kv_slots or lower quotas");
+        DISTMCU_CHECK(kv.fault != KvShares::Fault::zero_quota,
+                      "BatchedEngine: deployment '" +
+                          entries[static_cast<std::size_t>(
+                                      kv.zero_quota_model)].name +
+                          "' derived a zero KV quota");
         std::vector<Tenant> out;
-        out.reserve(static_cast<std::size_t>(registry.count()));
-        int unset_seen = 0;
-        for (const auto& e : registry.entries()) {
-          int quota = e.kv_quota;
-          if (quota == 0) {
-            quota = rem / unset + (unset_seen < rem % unset ? 1 : 0);
-            ++unset_seen;
-          }
-          DISTMCU_CHECK(quota >= 1, "BatchedEngine: deployment '" + e.name +
-                                      "' derived a zero KV quota");
-          int cap = e.max_resident > 0
-                        ? std::min(e.max_resident, opts_.total_kv_slots)
-                        : (borrowing ? opts_.total_kv_slots : quota);
-          cap = std::max(cap, 1);
-          out.push_back(build_tenant(e, quota, cap, opts_.kv_page_tokens));
+        out.reserve(entries.size());
+        for (std::size_t m = 0; m < entries.size(); ++m) {
+          out.push_back(
+              build_tenant(entries[m], kv.shares[m], opts_.kv_page_tokens));
         }
         return out;
       }()),
@@ -297,27 +171,15 @@ BatchedEngine::BatchedEngine(const ModelRegistry& registry, MultiOptions opts,
   // bounded by its cap. (Per-chip units throughout, matching the
   // planner's l2_usable.)
   if (tenants_.size() > 1) {
-    std::vector<std::pair<Bytes, int>> kv_loads;  // (per-chip page, cap)
+    std::vector<std::pair<Bytes, int>> kv_loads;
     for (const Tenant& t : tenants_) {
       kv_loads.emplace_back(t.chip_page_bytes, t.cap);
     }
-    std::sort(kv_loads.begin(), kv_loads.end(),
-              [](const auto& a, const auto& b) { return a.first > b.first; });
-    Bytes worst_kv = 0;
-    int pages_left = opts_.total_kv_slots;
-    for (const auto& [chip_kv, cap] : kv_loads) {
-      if (pages_left <= 0) break;
-      const int take = std::min(cap, pages_left);
-      worst_kv += static_cast<Bytes>(take) * chip_kv;
-      pages_left -= take;
-    }
+    const Bytes worst_kv =
+        worst_resident_kv(std::move(kv_loads), opts_.total_kv_slots);
     for (const Tenant& t : tenants_) {
-      for (const Tenant::FitPlan& fp : t.fit_plans) {
-        // need() already counts one of this tenant's own sets; the
-        // worst-case fill covers every resident set, so swap the
-        // single-set term out.
-        const Bytes need_beside =
-            fp.plan.need() - fp.plan.kv_cache_bytes + worst_kv;
+      for (const FitPlan& fp : t.fit_plans) {
+        const Bytes need_beside = resident_need(fp.plan, worst_kv);
         DISTMCU_CHECK_PLAN(
             need_beside <= fp.plan.l2_usable,
             "BatchedEngine['" + t.name +
@@ -361,8 +223,9 @@ int BatchedEngine::page_tokens(ModelId m) const { return tenant(m).page_tokens; 
 
 bool BatchedEngine::fits_page_cap(ModelId m, int prompt_tokens,
                                   int new_tokens) const {
-  const int max_rows = prompt_tokens + std::max(0, new_tokens - 1);
-  return pages_for_tokens(m, max_rows) <= tenant(m).cap;
+  const Tenant& t = tenant(m);
+  return runtime::fits_page_cap(t.page_tokens, t.cap, prompt_tokens,
+                                new_tokens);
 }
 
 int BatchedEngine::prefix_cache_pages() const {
@@ -565,30 +428,6 @@ int BatchedEngine::model_kv_elem_bits(ModelId m) const {
   return tenant(m).kv_elem_bits;
 }
 
-Cycles BatchedEngine::estimate_request_cost(const Tenant& t, int prompt_tokens,
-                                            int new_tokens) const {
-  // Prefill charge from the same block-program decomposition the steps
-  // use, then one per-request decode forward per generated token past
-  // the prefill output (generate's composition: prompt + (n-1) decodes).
-  // Batch-shared weight streaming and queueing are excluded — this is
-  // the request's own service demand, not a latency prediction.
-  Cycles est = 0;
-  if (t.chunk_tokens > 0) {
-    const int n_chunks =
-        (prompt_tokens + t.chunk_tokens - 1) / t.chunk_tokens;
-    for (int i = 0; i < n_chunks; ++i) {
-      const auto& cc = t.chunk_costs[static_cast<std::size_t>(i)];
-      est += cc.compute + cc.stream;
-    }
-  } else {
-    est = t.prompt_cycles;
-  }
-  if (new_tokens > 1) {
-    est += static_cast<Cycles>(new_tokens - 1) * t.ar_per_req_cycles;
-  }
-  return est;
-}
-
 std::optional<RequestId> BatchedEngine::submit(Request req) {
   // The model guard must stay ahead of every per_model[...] index below:
   // an unknown id must throw, not corrupt another deployment's counters.
@@ -613,9 +452,8 @@ std::optional<RequestId> BatchedEngine::submit(Request req) {
   const int prompt_tokens = static_cast<int>(req.prompt.size());
   DISTMCU_CHECK(fits_page_cap(req.model, prompt_tokens, req.new_tokens),
                 "submit: sequence needs " +
-                    std::to_string(pages_for_tokens(
-                        req.model,
-                        prompt_tokens + std::max(0, req.new_tokens - 1))) +
+                    std::to_string(sequence_pages(t.page_tokens, prompt_tokens,
+                                                  req.new_tokens)) +
                     " KV pages but model '" + t.name + "' is capped at " +
                     std::to_string(t.cap));
 

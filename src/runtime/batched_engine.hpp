@@ -17,6 +17,7 @@
 #include "runtime/model_registry.hpp"
 #include "runtime/prefetch_pipeline.hpp"
 #include "runtime/scheduler.hpp"
+#include "runtime/tenant_plan.hpp"
 #include "sim/tracer.hpp"
 #include "util/quantile_reservoir.hpp"
 
@@ -492,13 +493,6 @@ class BatchedEngine {
   /// Effective page size of one deployed model in token positions
   /// (kv_page_tokens clamped to its ar_context; its ar_context at 0).
   [[nodiscard]] int page_tokens(ModelId m) const;
-  /// The page size rule behind page_tokens(), for a model of context
-  /// `ar_context` (the static analyzer derives pages the same way).
-  [[nodiscard]] static int effective_page_tokens(int kv_page_tokens,
-                                                 int ar_context) {
-    return kv_page_tokens > 0 ? std::min(kv_page_tokens, ar_context)
-                              : ar_context;
-  }
   /// Whether a request of this shape on model `m` can hold its whole KV
   /// (every prompt row and every decode row but the last) within the
   /// model's page cap. submit() refuses one that cannot: it would be
@@ -621,16 +615,6 @@ class BatchedEngine {
     }
   };
 
-  /// Per-chunk-index cost decomposition (all layers), derived from
-  /// chunk-shaped block reports with the attention span of that chunk's
-  /// end position.
-  struct ChunkCost {
-    Cycles compute = 0;  // block cycles minus the chunk's own L3 stream
-    Cycles stream = 0;   // the chunk's dma_l3_l2 share (port occupancy)
-    double energy_mj = 0.0;
-    Bytes l3_bytes = 0;  // real traffic, for trace fidelity
-  };
-
   /// One request's prompt chunk in a chunked step.
   struct ChunkRun {
     std::size_t req;  // index into active_
@@ -638,43 +622,18 @@ class BatchedEngine {
     bool first;       // the request's first chunk (admission point)
   };
 
-  /// One deployed model's serving state: its session, its block-program
-  /// cost decomposition, its KvCachePool, and its staged-weights
-  /// prefetch channel. Index in tenants_ == ModelId == PagedKvArena tenant
-  /// tag == pipeline channel.
-  struct Tenant {
+  /// One deployed model's serving state: its session, its TenantPlan
+  /// (block-program cost decomposition and page sizing; the fit plans
+  /// are dropped once construction has checked them), its KvCachePool,
+  /// and its staged-weights prefetch channel. Index in tenants_ ==
+  /// ModelId == PagedKvArena tenant tag == pipeline channel.
+  struct Tenant : TenantPlan {
     const InferenceSession* session = nullptr;
     /// Keeps a registry-owned session alive for the engine's lifetime
     /// (registries are routinely temporaries once add(DeploymentSpec)
     /// owns the sessions); null for legacy caller-owned sessions.
     std::shared_ptr<const InferenceSession> owned_session;
     std::string name;
-    /// Bits one stored KV entry costs in the arena (the session's packed
-    /// layout; equals the platform-native width for KvLayout::native).
-    int kv_elem_bits = 0;
-    int chunk_tokens = 0;
-    std::vector<ChunkCost> chunk_costs;
-
-    // Cost decomposition derived from the block reports.
-    Cycles prompt_cycles = 0;      // full prefill cost, all layers
-    double prompt_energy_mj = 0.0;
-    Cycles prompt_stream_cycles = 0;  // prefill's own L3 port occupancy
-    Cycles ar_shared_cycles = 0;   // weight streaming, shared across the batch
-    double ar_shared_energy_mj = 0.0;
-    Cycles ar_per_req_cycles = 0;  // compute + tile DMA + C2C, per request
-    double ar_per_req_energy_mj = 0.0;
-    Bytes stream_bytes_per_step = 0;  // real L3 bytes, for trace fidelity
-
-    /// Memory plans backing this tenant's L2 fit checks (prompt or
-    /// chunked-prompt shape, plus autoregressive), kept so the engine
-    /// can re-validate the fit against the WHOLE shared arena once all
-    /// tenants are sized (a tenant must hold its working set next to
-    /// every other model's resident KV, not just its own).
-    struct FitPlan {
-      const char* mode = "";
-      partition::MemoryPlan plan;
-    };
-    std::vector<FitPlan> fit_plans;
 
     /// Physical cache sets (functional state) — strictly this model's;
     /// the shared budget lives in the engine's PagedKvArena. Optional
@@ -683,16 +642,10 @@ class BatchedEngine {
     Bytes kv_set_bytes = 0;  // one pooled set at full capacity
     int quota = 0;  // static-split reserve, in pages
     int cap = 0;    // hard ceiling on concurrent pages (== pool size)
-
-    /// Effective page size in token positions (kv_page_tokens clamped to
-    /// ar_context, ar_context when 0), the arena-charged bytes of one
-    /// page (kv_set_bytes scaled by page_tokens/ar_context — exact, the
-    /// set capacity is a multiple of the context), and the
-    /// worst-case-chip L2 footprint of one page (the unit of every L2
-    /// fit check).
-    int page_tokens = 0;
+    /// Arena-charged bytes of one page: kv_set_bytes scaled by
+    /// page_tokens/ar_context (exact, the set capacity is a multiple of
+    /// the context).
     Bytes page_bytes = 0;
-    Bytes chip_page_bytes = 0;
 
     /// One registered shareable prompt prefix: its token string, the
     /// read-only physical pages holding its KV (each add_ref'd by the
@@ -740,9 +693,10 @@ class BatchedEngine {
   /// tenant-LRU entry is dropped at donation time.
   static constexpr int kPrefixCacheCap = 8;
 
+  /// Plan `dep`, check its L2 fit at `share.cap` resident pages, and
+  /// allocate its pool.
   [[nodiscard]] static Tenant build_tenant(const ModelDeployment& dep,
-                                           int quota, int cap,
-                                           int page_tokens);
+                                           KvShare share, int kv_page_tokens);
 
   /// Admit pending requests into free pages under the budget policy;
   /// serial-prefill models charge their whole prompt here and set
@@ -863,12 +817,6 @@ class BatchedEngine {
                            const PrefetchPipeline::StepSpan& sp,
                            Cycles stall_bound, double& step_energy,
                            bool& step_decode);
-  /// Cost-model service estimate for the scheduler: prefill charge
-  /// (chunk decomposition when chunking is on) plus new_tokens decode
-  /// forwards, excluding batch-shared streaming and queueing.
-  [[nodiscard]] Cycles estimate_request_cost(const Tenant& t,
-                                             int prompt_tokens,
-                                             int new_tokens) const;
   /// Trace the admission decision on the request's lane: its queue wait
   /// as a sched-category span ending at the (final) admitted_at stamp.
   void trace_admission(const Inflight& r);

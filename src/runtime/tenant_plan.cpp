@@ -146,8 +146,9 @@ KvShares derive_kv_shares(const std::vector<ModelDeployment>& entries,
       out.shares.clear();
       return out;
     }
-    const int cap = e.max_resident > 0 ? std::min(e.max_resident, total_pages)
-                                       : (borrowing ? total_pages : quota);
+    int cap = e.max_resident > 0 ? std::min(e.max_resident, total_pages)
+                                 : (borrowing ? total_pages : quota);
+    if (!borrowing) cap = std::min(cap, quota);
     out.shares.push_back({.quota = quota, .cap = std::max(cap, 1)});
   }
   return out;

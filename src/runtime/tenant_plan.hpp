@@ -120,7 +120,9 @@ struct KvShares {
 /// Explicit quotas are kept and unset (0) ones share the remaining pages
 /// equally, remainder to the earliest deployments. The cap is
 /// max_resident clamped to the arena or, when unset, the whole arena
-/// under borrowing and the quota otherwise.
+/// under borrowing. Without borrowing it is clamped to the quota, since
+/// a static split never grants past it: a higher cap would admit at
+/// submit() sequences that can never be granted their pages.
 [[nodiscard]] KvShares derive_kv_shares(
     const std::vector<ModelDeployment>& entries, int total_pages,
     bool borrowing);

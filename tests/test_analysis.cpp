@@ -413,6 +413,30 @@ TEST(AnalysisStrict, PagedSubmitLivelockCaughtStatically) {
   EXPECT_FALSE(rep.ok());
 }
 
+TEST(AnalysisStrict, StaticSplitCapsMaxResidentAtTheQuota) {
+  // The static split never grants a tenant more than its quota, so a
+  // max_resident above it must not raise the page cap: a 2-page
+  // sequence under a 1-page quota can never be admitted. submit() and
+  // the analyzer must both refuse it instead of leaving it queued
+  // forever.
+  ModelRegistry reg;
+  (void)reg.add(tiny_session(), "tiny", 0, /*kv_quota=*/1,
+                /*max_resident=*/2);
+  BatchedEngine::MultiOptions opts;
+  opts.total_kv_slots = 2;
+  opts.kv_page_tokens = 4;
+  BatchedEngine engine(reg, opts);
+  EXPECT_EQ(engine.model_kv_cap(0), 1);
+  EXPECT_FALSE(engine.fits_page_cap(0, 3, 6));
+  EXPECT_THROW((void)engine.submit(0, {1, 2, 3}, 6), Error);
+
+  Workload wl;
+  wl.requests.push_back({.model = 0, .prompt_tokens = 3, .new_tokens = 6});
+  const auto rep = analyze(reg, opts, &wl);
+  expect_exactly(rep, analysis::kPagedConfig);
+  EXPECT_EQ(rep.diagnostics.front().entity, "workload request #0");
+}
+
 // ---------------------------------------------------------------------
 // Randomized analyzer/engine equivalence cross-check.
 // ---------------------------------------------------------------------

@@ -11,6 +11,7 @@
 //    CFG/KV/MEM error-severity diagnostic fails construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -461,11 +462,12 @@ const std::vector<PoolEntry>& session_pool() {
 }
 
 TEST(ServingInvariantsAnalysis, CleanConfigsServeBadConfigsThrow) {
-  const std::uint64_t seeds = invariant_seed_count(/*fallback=*/30);
+  const std::uint64_t seeds = invariant_seed_count(/*fallback=*/120);
   SeedReproLog repro("./test_analysis",
                      "ServingInvariantsAnalysis.CleanConfigsServeBadConfigsThrow");
   int clean_seen = 0;
   int error_seen = 0;
+  int refused_seen = 0;
   for (std::uint64_t seed = 0; seed < seeds; ++seed) {
     repro.begin();
     util::Rng rng(0x9e3779b97f4a7c15ULL ^ seed);
@@ -501,40 +503,84 @@ TEST(ServingInvariantsAnalysis, CleanConfigsServeBadConfigsThrow) {
             runtime::make_kv_budget(runtime::KvBudget::watermark);
         break;
     }
+    // Whole-context pages a third of the time, otherwise 1..16 tokens
+    // (past some contexts, so the clamp to ar_context is drawn too).
+    opts.kv_page_tokens =
+        rng.next_below(3) == 0 ? 0 : 1 + static_cast<int>(rng.next_below(16));
+    opts.prefix_sharing = rng.next_below(2) == 0;
 
-    const AnalysisReport rep = DeploymentAnalyzer::analyze(reg, opts);
-    const bool unsound = rep.has(analysis::kCfgMalformed) ||
-                         rep.has(analysis::kKvBudget) ||
-                         rep.has(analysis::kMemOverflow);
-    const bool unsound_error =
-        unsound && rep.errors() > 0;  // KV-002 warnings alone are sound
+    // The requests the engine will be offered, analyzed as the workload.
+    struct Job {
+      runtime::ModelId model;
+      std::vector<int> prompt;
+      int new_tokens;
+    };
+    std::vector<Job> jobs;
+    Workload wl;
+    const int n_jobs = 3 + static_cast<int>(rng.next_below(4));
+    for (int j = 0; j < n_jobs; ++j) {
+      const auto model = static_cast<runtime::ModelId>(
+          rng.next_below(static_cast<std::uint64_t>(n_tenants)));
+      const auto& entry = picked[static_cast<std::size_t>(model)];
+      const int prompt_len = 1 + static_cast<int>(rng.next_below(
+          static_cast<std::uint64_t>(entry.prompt_len)));
+      std::vector<int> prompt;
+      for (int p = 0; p < prompt_len; ++p) {
+        prompt.push_back(static_cast<int>(rng.next_below(100)));
+      }
+      const int max_new = entry.ar_context - prompt_len;
+      const int new_tokens = static_cast<int>(rng.next_below(
+          static_cast<std::uint64_t>(max_new) + 1));
+      wl.requests.push_back(
+          {.model = model, .prompt_tokens = prompt_len, .new_tokens = new_tokens});
+      jobs.push_back({model, std::move(prompt), new_tokens});
+    }
 
-    if (!unsound_error) {
+    const AnalysisReport rep = DeploymentAnalyzer::analyze(reg, opts, &wl);
+    // KV-002 warnings alone are sound; per-request PAGE-007 errors are
+    // checked against submit() below.
+    const bool unsound = std::any_of(
+        rep.diagnostics.begin(), rep.diagnostics.end(), [](const auto& d) {
+          return d.severity == analysis::Severity::error &&
+                 (d.code == analysis::kCfgMalformed ||
+                  d.code == analysis::kKvBudget ||
+                  d.code == analysis::kMemOverflow);
+        });
+
+    if (!unsound) {
       ++clean_seen;
-      // Analyzer-clean must construct and drain with conservation.
+      // Analyzer-clean must construct and drain with conservation, and
+      // flag exactly the requests submit() refuses at the page cap.
       BatchedEngine engine(reg, opts);
       int accepted = 0;
-      const int jobs = 3 + static_cast<int>(rng.next_below(4));
-      for (int j = 0; j < jobs; ++j) {
-        const auto model = static_cast<runtime::ModelId>(
-            rng.next_below(static_cast<std::uint64_t>(n_tenants)));
-        const auto& entry = picked[static_cast<std::size_t>(model)];
-        const int prompt_len = 1 + static_cast<int>(rng.next_below(
-            static_cast<std::uint64_t>(entry.prompt_len)));
-        std::vector<int> prompt;
-        for (int p = 0; p < prompt_len; ++p) {
-          prompt.push_back(static_cast<int>(rng.next_below(100)));
+      for (std::size_t j = 0; j < jobs.size(); ++j) {
+        const Job& job = jobs[j];
+        const bool fits = engine.fits_page_cap(
+            job.model, static_cast<int>(job.prompt.size()), job.new_tokens);
+        const bool flagged = std::any_of(
+            rep.diagnostics.begin(), rep.diagnostics.end(),
+            [&](const auto& d) {
+              return d.code == analysis::kPagedConfig &&
+                     d.entity == "workload request #" + std::to_string(j);
+            });
+        EXPECT_EQ(flagged, !fits)
+            << "seed " << seed << " request " << j << ":\n"
+            << rep.to_text();
+        if (!fits) {
+          ++refused_seen;
+          EXPECT_THROW((void)engine.submit(job.model, job.prompt,
+                                           job.new_tokens),
+                       Error)
+              << "seed " << seed << " request " << j;
+          continue;
         }
-        const int max_new = entry.ar_context - prompt_len;
-        const int new_tokens = static_cast<int>(rng.next_below(
-            static_cast<std::uint64_t>(max_new) + 1));
-        if (engine.submit(model, std::move(prompt), new_tokens)) ++accepted;
+        if (engine.submit(job.model, job.prompt, job.new_tokens)) ++accepted;
       }
       const auto results = engine.run_to_completion();
       EXPECT_EQ(static_cast<int>(results.size()), accepted)
           << "seed " << seed << ": accepted requests did not all complete";
       EXPECT_EQ(engine.stats().completed, accepted) << "seed " << seed;
-      EXPECT_EQ(engine.kv_pages().in_use(), 0)
+      EXPECT_EQ(engine.kv_pages().in_use(), engine.prefix_cache_pages())
           << "seed " << seed << ": KV pages leaked";
       int generated = 0;
       for (const auto& r : results) generated += r.gen.generated;
@@ -550,9 +596,10 @@ TEST(ServingInvariantsAnalysis, CleanConfigsServeBadConfigsThrow) {
     }
     repro.end(seed);
   }
-  // The generator must exercise both branches, or the property is vacuous.
+  // The generator must exercise every branch, or the property is vacuous.
   EXPECT_GT(clean_seen, 0);
   EXPECT_GT(error_seen, 0);
+  EXPECT_GT(refused_seen, 0);
 }
 
 }  // namespace

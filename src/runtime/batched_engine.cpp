@@ -776,7 +776,7 @@ bool BatchedEngine::shed_for_model(ModelId incoming) {
   return true;
 }
 
-int BatchedEngine::pick_admissible_pending() {
+int BatchedEngine::pick_admissible_pending(bool alone) {
   // Budget snapshot: everybody's occupancy and queued demand.
   const auto& views = budget_views();
   const int free_pages = kv_pages_.free();
@@ -791,7 +791,13 @@ int BatchedEngine::pick_admissible_pending() {
   pending_index.clear();
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     const Inflight& p = pending_[i];
-    if (!admissible_now(p, views, free_pages)) continue;
+    if (alone) {
+      alone_views_.assign(views.begin(), views.end());
+      for (KvBudgetPolicy::TenantView& v : alone_views_) {
+        if (v.model != p.model) v.pending = 0;
+      }
+    }
+    if (!admissible_now(p, alone ? alone_views_ : views, free_pages)) continue;
     Scheduler::Candidate c;
     c.id = p.id;
     c.model = p.model;
@@ -939,25 +945,26 @@ void BatchedEngine::admit_pending(int step_idx, double& step_energy) {
          drop_lru_prefix_entry()) {
   }
   while (!pending_.empty() && kv_pages_.free() > 0) {
-    const int pi = pick_admissible_pending();
+    int pi = pick_admissible_pending();
     if (pi < 0) {
       // Deadlock guard: with nothing running, the only occupancy free
       // admission could be waiting on is the prefix registry's page
       // pins — drop the least-recently-used entry and retry; registered
-      // prefixes must never starve live work. When the registry is
-      // already empty, a pending request with an empty engine can never
-      // be admitted at all: that is a configuration error (its page
-      // demand exceeds what the policy will ever grant its tenant), not
-      // a transient.
-      if (active_.empty()) {
-        if (drop_lru_prefix_entry()) continue;
-        DISTMCU_CHECK(pending_.empty(),
+      // prefixes must never starve live work.
+      if (!active_.empty()) break;
+      if (drop_lru_prefix_entry()) continue;
+      // Every page is free now, so a borrowing policy can only be
+      // refusing on other tenants' queued demand: two tenants that each
+      // need to borrow (a resumed request past its quota) would protect
+      // each other's reserve forever. Judge each request as if its
+      // tenant queued alone; what even that refuses can never be
+      // admitted, a configuration error rather than a transient.
+      pi = pick_admissible_pending(/*alone=*/true);
+      DISTMCU_CHECK(pi >= 0,
                     "BatchedEngine: pending request can never be admitted "
                     "(first-step page demand exceeds what the budget policy "
                     "grants its tenant); raise the tenant's quota or lower "
                     "kv_page_tokens");
-      }
-      break;
     }
     Inflight r = std::move(pending_[static_cast<std::size_t>(pi)]);
     pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(pi));

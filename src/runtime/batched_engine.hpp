@@ -704,7 +704,9 @@ class BatchedEngine {
   void admit_pending(int step_idx, double& step_energy);
   /// Index into pending_ of the scheduler's choice among budget-
   /// admissible requests, or -1 when nothing may be admitted.
-  [[nodiscard]] int pick_admissible_pending();
+  /// With `alone`, each request is judged as if its tenant were the
+  /// only one with queued demand (the idle engine's deadlock breaker).
+  [[nodiscard]] int pick_admissible_pending(bool alone = false);
   /// Budget-policy snapshot of every tenant's occupancy and queued
   /// demand (shared by admission, preemption, and page growth), built in
   /// a reused buffer that the next call overwrites.
@@ -889,13 +891,15 @@ class BatchedEngine {
   /// Requests dropped by fair load shedding, in shed order.
   std::vector<RequestId> shed_ids_;
   /// Admission and preemption scratch, reused across steps so a steady
-  /// step does not allocate: the budget snapshot, its post-eviction and
-  /// per-grant copies, the scheduler's candidate queue with each
+  /// step does not allocate: the budget snapshot, its post-eviction,
+  /// per-grant and tenant-alone copies, the scheduler's candidate queue
+  /// with each
   /// candidate's pending_ index, and which models admitted serial
   /// prompt work this step.
   mutable std::vector<KvBudgetPolicy::TenantView> views_;
   mutable std::vector<KvBudgetPolicy::TenantView> evict_views_;
   mutable std::vector<KvBudgetPolicy::TenantView> grant_views_;
+  std::vector<KvBudgetPolicy::TenantView> alone_views_;
   std::vector<Scheduler::Candidate> sched_queue_;
   std::vector<int> pending_index_;
   std::vector<char> serial_admitted_;

@@ -424,6 +424,35 @@ TEST(MultiModel, WatermarkPolicyBorrowsIdleSlotsWithinReserves) {
   EXPECT_EQ(engine.stats().completed, 6);
 }
 
+TEST(MultiModel, WatermarkTenantsThatBothMustBorrowStillDrain) {
+  // Three 8-token pages: "a" (quota 2) serves a 3-page sequence and "b"
+  // (quota 1) a 2-page one, so both must borrow. Once an eviction leaves
+  // both queued past their quotas on an idle engine, each one's queued
+  // demand protects its reserve from the other's borrow; the engine must
+  // still admit one of them and drain.
+  ModelRegistry reg;
+  (void)reg.add(sessions().gen, "a", /*prefill_chunk_tokens=*/2,
+                /*kv_quota=*/2, /*max_resident=*/3);
+  (void)reg.add(sessions().gen, "b", /*prefill_chunk_tokens=*/2,
+                /*kv_quota=*/1, /*max_resident=*/2);
+  BatchedEngine engine(reg, {.total_kv_slots = 3,
+                             .kv_budget = runtime::make_kv_budget(
+                                 KvBudget::watermark),
+                             .kv_page_tokens = 8});
+  const std::vector<int> pa = {1, 2, 3, 4, 5, 6};
+  const std::vector<int> pb = {1, 2, 3, 4};
+  ASSERT_TRUE(engine.submit(0, pa, 17).has_value());
+  ASSERT_TRUE(engine.submit(1, pb, 13).has_value());
+  const auto results = engine.run_to_completion();
+  ASSERT_EQ(results.size(), 2u);
+  for (const RequestResult& r : results) {
+    const auto& solo = r.model == 0 ? sessions().gen.generate(pa, 17)
+                                    : sessions().gen.generate(pb, 13);
+    EXPECT_EQ(r.gen.tokens, solo.tokens) << "model " << r.model;
+  }
+  EXPECT_EQ(engine.kv_pages().in_use(), 0);
+}
+
 TEST(MultiModel, ProportionalPolicyServesBothTenantsByDemand) {
   auto reg = make_registry(/*gen_chunk=*/2, /*enc_chunk=*/2);
   BatchedEngine engine(reg, {.total_kv_slots = 4,

@@ -129,13 +129,13 @@ AnalysisReport DeploymentAnalyzer::analyze(
     emit(report, kCfgMalformed, Severity::error, "options",
          "total_kv_slots must be positive (got " +
              std::to_string(opts.total_kv_slots) + ")",
-         "size the shared KV arena for at least one slot per deployment");
+         "size the shared KV arena for at least one page per deployment");
   }
   if (opts.max_pending < 0) {
     emit(report, kCfgMalformed, Severity::error, "options",
          "max_pending must be >= 0 (got " + std::to_string(opts.max_pending) +
              ")",
-         "use 0 to disable queuing beyond free KV slots");
+         "use 0 to disable queuing beyond free KV pages");
   }
   // ---- DMCU-PAGE-007: paged-KV option shape --------------------------
   if (opts.kv_page_tokens < 0) {
@@ -214,12 +214,12 @@ AnalysisReport DeploymentAnalyzer::analyze(
            "deployment quotas (" + std::to_string(kv.explicit_sum) +
                ") oversubscribe total_kv_slots (" +
                std::to_string(opts.total_kv_slots) +
-               "); no policy can conserve slots under these reserves",
+               "); no policy can conserve pages under these reserves",
            "raise total_kv_slots or lower per-deployment kv_quota");
       return report;  // quota derivation is undefined past this point
     case runtime::KvShares::Fault::no_reserve:
       emit(report, kKvBudget, Severity::error, "options",
-           "total_kv_slots leaves no KV slot for " +
+           "total_kv_slots leaves no KV page for " +
                std::to_string(kv.starved) +
                " deployment(s) with an unset quota; their static reserve "
                "derives to zero and the split can never drain them",
@@ -237,9 +237,9 @@ AnalysisReport DeploymentAnalyzer::analyze(
     if (cap < quota) {
       emit(report, kKvBudget, Severity::warning, deployment_entity(entries[m]),
            "max_resident caps the tenant at " + std::to_string(cap) +
-               " slots below its quota of " + std::to_string(quota) +
+               " pages below its quota of " + std::to_string(quota) +
                "; the " + std::to_string(quota - cap) +
-               "-slot phantom reserve can never be occupied, and "
+               "-page phantom reserve can never be occupied, and "
                "unmet-reserve accounting throttles other tenants' borrows "
                "against it forever",
            "lower kv_quota to max_resident or raise max_resident");

@@ -101,7 +101,7 @@ class AnalysisError : public Error {
 ///    session, non-positive arena, negative knobs)
 ///  - DMCU-TRC-005  deployment-name collisions (trace lanes, per-model
 ///    stats rows, and JSON keys are keyed by name)
-///  - DMCU-KV-002   the budget policy cannot conserve slots: quota
+///  - DMCU-KV-002   the budget policy cannot conserve pages: quota
 ///    oversubscription, a deployment with no derivable reserve, or a
 ///    cap below the quota (a phantom unmet-reserve that watermark
 ///    borrowing throttles on but no occupancy can ever repay — warning)

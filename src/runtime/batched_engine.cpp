@@ -24,7 +24,8 @@ void check_pool_fits(const FitPlan& fp, int cap_pages, Bytes chip_page_bytes,
       "BatchedEngine['" + model + "']: " + std::to_string(cap_pages) +
           " resident KV pages need " + util::format_bytes(need) + " of L2 in " +
           fp.mode + " mode but only " + util::format_bytes(fp.plan.l2_usable) +
-          " is usable; lower max_batch, kv_page_tokens, or ar_context");
+          " is usable; lower max_resident/total_kv_slots, kv_page_tokens, "
+          "or ar_context");
 }
 
 /// The effective budget policy: the configured one, or the process-wide
@@ -104,7 +105,7 @@ BatchedEngine::BatchedEngine(const ModelRegistry& registry, MultiOptions opts,
         DISTMCU_CHECK(registry.count() > 0,
                     "BatchedEngine: registry holds no deployments");
         DISTMCU_CHECK(opts_.total_kv_slots > 0,
-                    "BatchedEngine: max_batch must be positive");
+                    "BatchedEngine: total_kv_slots must be positive");
         DISTMCU_CHECK(opts_.max_pending >= 0,
                     "BatchedEngine: max_pending must be >= 0");
         DISTMCU_CHECK(opts_.kv_page_tokens >= 0,

@@ -26,13 +26,16 @@ struct ModelDeployment {
   /// tenant; 0 = serial-prefill compatibility mode (per-model, so a
   /// chunked generator can share the engine with a serial encoder).
   int prefill_chunk_tokens = 0;
-  /// Static-split reserve in shared KV slots. 0 = filled in by the
+  /// Static-split reserve in shared KV pages. 0 = filled in by the
   /// engine with an equal split of the arena (remainder to the earliest
   /// deployments).
   int kv_quota = 0;
-  /// Hard ceiling on concurrently held slots (bounds this tenant's
-  /// KvCachePool and its L2 fit check). 0 = derived: the quota under
-  /// the static-split policy, the whole arena under borrowing policies.
+  /// Hard ceiling on concurrently held pages (bounds this tenant's
+  /// KvCachePool, its L2 fit check and the longest sequence submit()
+  /// accepts), clamped to the arena. 0 = derived: the quota under the
+  /// static-split policy, the whole arena under borrowing policies. A
+  /// policy that never borrows also clamps an explicit value to the
+  /// quota, since it never grants past it.
   int max_resident = 0;
 };
 

@@ -136,7 +136,7 @@ TEST(AnalysisGolden, KvBudgetOversubscribed) {
 }
 
 TEST(AnalysisGolden, KvBudgetPhantomReserveWarns) {
-  // quota 3 but max_resident 1: the 2-slot phantom reserve can never be
+  // quota 3 but max_resident 1: the 2-page phantom reserve can never be
   // occupied. Runs (warning), but flagged.
   ModelRegistry reg;
   (void)reg.add(tiny_session(), "a", 0, /*kv_quota=*/3, /*max_resident=*/1);

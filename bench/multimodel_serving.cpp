@@ -140,10 +140,12 @@ MixedResult run_mixed(const runtime::InferenceSession& llama,
   for (int i = 0; i < std::max(kLlamaJobs, kBertJobs); ++i) {
     // Interleaved submit order so neither model owns the queue head.
     if (i < kLlamaJobs) {
-      (void)*engine.submit(lid, llama_prompt(i), kDecodeTokens);
+      (void)*engine.submit({.model = lid, .prompt = llama_prompt(i),
+                            .new_tokens = kDecodeTokens});
     }
     if (i < kBertJobs) {
-      (void)*engine.submit(bid, bert_prompt(i), 0);
+      (void)*engine.submit({.model = bid, .prompt = bert_prompt(i),
+                            .new_tokens = 0});
     }
   }
   (void)engine.run_to_completion();
@@ -183,21 +185,22 @@ IsolatedRow run_isolated(const runtime::InferenceSession& llama,
   row.llama_slots = llama_slots;
   row.bert_slots = kTotalSlots - llama_slots;
 
+  runtime::ModelRegistry lreg;
+  (void)lreg.add(llama, "tinyllama", /*prefill_chunk_tokens=*/4);
   runtime::BatchedEngine lengine(
-      llama, {.max_batch = llama_slots,
-              .max_pending = 64,
-              .prefill_chunk_tokens = 4});
+      lreg, {.total_kv_slots = llama_slots, .max_pending = 64});
   for (int i = 0; i < kLlamaJobs; ++i) {
-    (void)*lengine.submit(llama_prompt(i), kDecodeTokens);
+    (void)*lengine.submit({.prompt = llama_prompt(i),
+                           .new_tokens = kDecodeTokens});
   }
   (void)lengine.run_to_completion();
 
+  runtime::ModelRegistry breg;
+  (void)breg.add(bert, "mobilebert", /*prefill_chunk_tokens=*/8);
   runtime::BatchedEngine bengine(
-      bert, {.max_batch = row.bert_slots,
-             .max_pending = 64,
-             .prefill_chunk_tokens = 8});
+      breg, {.total_kv_slots = row.bert_slots, .max_pending = 64});
   for (int i = 0; i < kBertJobs; ++i) {
-    (void)*bengine.submit(bert_prompt(i), 0);
+    (void)*bengine.submit({.prompt = bert_prompt(i), .new_tokens = 0});
   }
   (void)bengine.run_to_completion();
 
@@ -235,7 +238,8 @@ PolicyRow run_policy_scenario(const runtime::InferenceSession& llama,
             .max_pending = 64,
             .kv_budget = runtime::make_kv_budget(policy)});
   for (int i = 0; i < kLlamaJobs; ++i) {
-    (void)*engine.submit(lid, llama_prompt(i), kDecodeTokens);
+    (void)*engine.submit({.model = lid, .prompt = llama_prompt(i),
+                          .new_tokens = kDecodeTokens});
   }
   // The classifier jobs arrive once the burst is underway.
   int submitted_bert = 0;
@@ -243,7 +247,8 @@ PolicyRow run_policy_scenario(const runtime::InferenceSession& llama,
   bool work = true;
   while (work || submitted_bert < 2) {
     if (steps >= 12 && submitted_bert < 2) {
-      (void)*engine.submit(bid, bert_prompt(submitted_bert), 0);
+      (void)*engine.submit({.model = bid, .prompt = bert_prompt(submitted_bert),
+                            .new_tokens = 0});
       ++submitted_bert;
     }
     work = engine.step();

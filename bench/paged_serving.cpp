@@ -100,10 +100,11 @@ ConfigResult run_config(const runtime::InferenceSession& session,
   out.kv_units = paged
                      ? kSlots * (session.config().ar_context / page_tokens)
                      : kSlots;
-  runtime::BatchedEngine engine(session,
-                                {.max_batch = out.kv_units,
+  runtime::ModelRegistry reg;
+  (void)reg.add(session, "tinyllama", kChunk);
+  runtime::BatchedEngine engine(reg,
+                                {.total_kv_slots = out.kv_units,
                                  .max_pending = 64,
-                                 .prefill_chunk_tokens = kChunk,
                                  .kv_page_tokens = page_tokens,
                                  .prefix_sharing = prefix_sharing});
   out.pool_bytes = engine.kv_pages().pool_bytes();
@@ -111,10 +112,12 @@ ConfigResult run_config(const runtime::InferenceSession& session,
   // system prompt in the prefix cache), then the burst: every burst
   // request can adopt the registered pages instead of recomputing them.
   std::vector<runtime::RequestId> ids;
-  ids.push_back(*engine.submit(job_prompt(), job_new_tokens(0)));
+  ids.push_back(*engine.submit({.prompt = job_prompt(),
+                                .new_tokens = job_new_tokens(0)}));
   (void)engine.run_to_completion();
   for (int i = 1; i < kJobs; ++i) {
-    ids.push_back(*engine.submit(job_prompt(), job_new_tokens(i)));
+    ids.push_back(*engine.submit({.prompt = job_prompt(),
+                                  .new_tokens = job_new_tokens(i)}));
   }
   // run_to_completion returns the engine-lifetime finished list, so the
   // second call's return value covers the warm-up request too.

@@ -129,18 +129,21 @@ struct PolicyRow {
 PolicyRow run_slo_scenario(const runtime::InferenceSession& session,
                            runtime::SchedulePolicy policy,
                            Cycles interactive_deadline, double freq_hz) {
+  runtime::ModelRegistry reg;
+  (void)reg.add(session, session.config().name, /*prefill_chunk_tokens=*/2);
   runtime::BatchedEngine engine(
-      session, {.max_batch = 2,
-                .max_pending = 64,
-                .prefill_chunk_tokens = 2,
-                .scheduler = runtime::make_scheduler(policy)});
+      reg, {.total_kv_slots = 2,
+            .max_pending = 64,
+            .scheduler = runtime::make_scheduler(policy)});
   for (int i = 0; i < 4; ++i) {
-    (void)*engine.submit({1 + i, 7 + i, 3, 9, 2 + i, 5, 8, 4}, 16,
-                         {.priority = 2, .deadline_cycles = runtime::kNoDeadline});
+    (void)*engine.submit(
+        {.prompt = {1 + i, 7 + i, 3, 9, 2 + i, 5, 8, 4}, .new_tokens = 16,
+         .slo = {.priority = 2, .deadline_cycles = runtime::kNoDeadline}});
   }
   for (int i = 0; i < 6; ++i) {
-    (void)*engine.submit({20 + i, 11}, 3,
-                         {.priority = 0, .deadline_cycles = interactive_deadline});
+    (void)*engine.submit(
+        {.prompt = {20 + i, 11}, .new_tokens = 3,
+         .slo = {.priority = 0, .deadline_cycles = interactive_deadline}});
   }
   (void)engine.run_to_completion();
   return {policy, engine.stats(),
@@ -225,7 +228,8 @@ OverloadRow run_overload(const runtime::InferenceSession& session,
     bool submitted_any = false;
     for (auto& job : jobs) {
       if (job.attempted || job.step > step) continue;
-      if (engine.submit(job.model, job.prompt, job.new_tokens, job.slo)) {
+      if (engine.submit({.model = job.model, .prompt = job.prompt,
+                         .new_tokens = job.new_tokens, .slo = job.slo})) {
         ++row.accepted;
       }
       job.attempted = true;
@@ -342,11 +346,14 @@ int main(int argc, char** argv) {
   std::vector<BatchRow> batch_rows;
   double base_tok_s = 0.0;
   for (const int batch : {1, 2, 4, 8}) {
-    runtime::BatchedEngine engine(session,
-                                  {.max_batch = batch, .max_pending = 64});
+    runtime::ModelRegistry reg;
+    (void)reg.add(session, cfg.name);
+    runtime::BatchedEngine engine(reg,
+                                  {.total_kv_slots = batch, .max_pending = 64});
     for (int i = 0; i < batch; ++i) {
       // Distinct prompts so the streams differ per request.
-      (void)*engine.submit({1 + i, 7 + i, 3}, decode_tokens);
+      (void)*engine.submit({.prompt = {1 + i, 7 + i, 3},
+                            .new_tokens = decode_tokens});
     }
     const auto results = engine.run_to_completion();
 
@@ -395,11 +402,13 @@ int main(int argc, char** argv) {
   double serial_prompt_mcyc = 0.0;
   Cycles serial_prompt_cycles = 0;
   for (const int chunk : {0, 2, 4, 8}) {
-    runtime::BatchedEngine engine(
-        session,
-        {.max_batch = 4, .max_pending = 64, .prefill_chunk_tokens = chunk});
+    runtime::ModelRegistry reg;
+    (void)reg.add(session, cfg.name, chunk);
+    runtime::BatchedEngine engine(reg,
+                                  {.total_kv_slots = 4, .max_pending = 64});
     for (int i = 0; i < 8; ++i) {
-      (void)*engine.submit({1 + i, 9 - i, 3, 7}, decode_tokens);
+      (void)*engine.submit({.prompt = {1 + i, 9 - i, 3, 7},
+                            .new_tokens = decode_tokens});
     }
     (void)engine.run_to_completion();
     const auto& stats = engine.stats();

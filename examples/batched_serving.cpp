@@ -44,7 +44,10 @@ int main() {
 
   // Two KV slots serving three requests: the third waits in the queue
   // and joins the batch when the short request finishes.
-  runtime::BatchedEngine engine(session, {.max_batch = 2, .max_pending = 8});
+  runtime::ModelRegistry registry;
+  (void)registry.add(session, cfg.name);
+  runtime::BatchedEngine engine(registry,
+                                {.total_kv_slots = 2, .max_pending = 8});
   struct Job {
     runtime::RequestId id;
     std::vector<int> prompt;
@@ -54,7 +57,7 @@ int main() {
   for (const auto& [prompt, n] :
        std::vector<std::pair<std::vector<int>, int>>{
            {{1, 2, 3}, 8}, {{9}, 3}, {{4, 7, 7, 2}, 6}}) {
-    const auto id = engine.submit(prompt, n);
+    const auto id = engine.submit({.prompt = prompt, .new_tokens = n});
     if (!id) {
       std::cout << "request rejected (queue full)\n";
       continue;
@@ -98,9 +101,13 @@ int main() {
   // chunks co-scheduled with decode steps. The chunks' own weight
   // streaming races the step's compute on the shared L3 port instead of
   // being charged serially per request.
-  runtime::BatchedEngine chunked(
-      session, {.max_batch = 2, .max_pending = 8, .prefill_chunk_tokens = 2});
-  for (const auto& job : jobs) (void)chunked.submit(job.prompt, job.new_tokens);
+  runtime::ModelRegistry chunked_registry;
+  (void)chunked_registry.add(session, cfg.name, /*prefill_chunk_tokens=*/2);
+  runtime::BatchedEngine chunked(chunked_registry,
+                                 {.total_kv_slots = 2, .max_pending = 8});
+  for (const auto& job : jobs) {
+    (void)chunked.submit({.prompt = job.prompt, .new_tokens = job.new_tokens});
+  }
   const auto chunked_results = chunked.run_to_completion();
   const auto& cs = chunked.stats();
   // The fresh engine reissues the same ids in submit order, so the
@@ -145,13 +152,15 @@ int main() {
   for (const auto policy :
        {runtime::SchedulePolicy::fifo, runtime::SchedulePolicy::edf}) {
     runtime::BatchedEngine sched_engine(
-        session, {.max_batch = 1,
-                  .max_pending = 8,
-                  .prefill_chunk_tokens = 2,
-                  .scheduler = runtime::make_scheduler(policy)});
+        chunked_registry,
+        {.total_kv_slots = 1,
+         .max_pending = 8,
+         .scheduler = runtime::make_scheduler(policy)});
     std::map<runtime::RequestId, const SloJob*> by_id;
     for (const auto& job : slo_jobs) {
-      by_id[*sched_engine.submit(job.prompt, job.new_tokens, job.slo)] = &job;
+      by_id[*sched_engine.submit({.prompt = job.prompt,
+                                  .new_tokens = job.new_tokens,
+                                  .slo = job.slo})] = &job;
     }
     const auto sched_results = sched_engine.run_to_completion();
     const auto& ss = sched_engine.stats();

@@ -225,12 +225,6 @@ AnalysisReport DeploymentAnalyzer::analyze(
                "derives to zero and the split can never drain them",
            "raise total_kv_slots or lower explicit quotas");
       return report;
-    case runtime::KvShares::Fault::zero_quota:
-      emit(report, kKvBudget, Severity::error,
-           deployment_entity(
-               entries[static_cast<std::size_t>(kv.zero_quota_model)]),
-           "derived a zero KV quota", "raise total_kv_slots");
-      return report;
   }
   for (std::size_t m = 0; m < entries.size(); ++m) {
     const auto [quota, cap] = kv.shares[m];

@@ -35,18 +35,6 @@ const KvBudgetPolicy* resolve_budget(const BatchedEngine::MultiOptions& opts) {
   return opts.kv_budget != nullptr ? opts.kv_budget.get() : &kDefaultBudget;
 }
 
-/// Single-deployment registry backing the legacy (session, Options)
-/// constructor: one tenant owning the whole arena.
-ModelRegistry single_model_registry(const InferenceSession& session,
-                                    const BatchedEngine::Options& opts) {
-  ModelRegistry reg;
-  const std::string& cfg_name = session.config().name;
-  (void)reg.add(session, cfg_name.empty() ? "model" : cfg_name,
-                opts.prefill_chunk_tokens, /*kv_quota=*/opts.max_batch,
-                /*max_resident=*/opts.max_batch);
-  return reg;
-}
-
 }  // namespace
 
 BatchedEngine::Tenant BatchedEngine::build_tenant(const ModelDeployment& dep,
@@ -124,11 +112,6 @@ BatchedEngine::BatchedEngine(const ModelRegistry& registry, MultiOptions opts,
         DISTMCU_CHECK(kv.fault != KvShares::Fault::no_reserve,
                       "BatchedEngine: total_kv_slots leaves no KV page for "
                       "some deployment; raise total_kv_slots or lower quotas");
-        DISTMCU_CHECK(kv.fault != KvShares::Fault::zero_quota,
-                      "BatchedEngine: deployment '" +
-                          entries[static_cast<std::size_t>(
-                                      kv.zero_quota_model)].name +
-                          "' derived a zero KV quota");
         std::vector<Tenant> out;
         out.reserve(entries.size());
         for (std::size_t m = 0; m < entries.size(); ++m) {
@@ -204,21 +187,6 @@ BatchedEngine::BatchedEngine(const ModelRegistry& registry, MultiOptions opts,
     tenants_[m].fit_plans.shrink_to_fit();
   }
 }
-
-BatchedEngine::BatchedEngine(const InferenceSession& session, Options opts,
-                             sim::Tracer* tracer)
-    : BatchedEngine(single_model_registry(session, opts),
-                    MultiOptions{.total_kv_slots = opts.max_batch,
-                                 .max_pending = opts.max_pending,
-                                 .scheduler = opts.scheduler,
-                                 .kv_budget = nullptr,
-                                 .fail_fast_deadlines = opts.fail_fast_deadlines,
-                                 .fair_shedding = opts.fair_shedding,
-                                 .preemption = opts.preemption,
-                                 .strict = opts.strict,
-                                 .kv_page_tokens = opts.kv_page_tokens,
-                                 .prefix_sharing = opts.prefix_sharing},
-                    tracer) {}
 
 int BatchedEngine::page_tokens(ModelId m) const { return tenant(m).page_tokens; }
 

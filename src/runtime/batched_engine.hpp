@@ -236,25 +236,22 @@ struct ServingStats {
 /// silicon with continuous batching; requests join and leave the running
 /// batch at token boundaries, never mid-block.
 ///
-/// Single-model use (bit-identical to the historical engine):
-///
-///   BatchedEngine engine(session, {.max_batch = 4});
-///   auto id = engine.submit({1, 17, 42}, 16);
-///   auto results = engine.run_to_completion();
-///
-/// Multi-model use: a ModelRegistry deploys N (model::Config,
-/// chip-count, block program) sessions, each with its own chunked- or
-/// serial-prefill mode and cost decomposition, while every KV page comes
-/// from ONE shared, tenant-tagged, refcounted mem::PagedKvArena
-/// partitioned by a pluggable KvBudgetPolicy (static split /
-/// proportional-to-load / watermark borrowing):
+/// A ModelRegistry deploys N (model::Config, chip-count, block program)
+/// sessions, each with its own chunked- or serial-prefill mode and cost
+/// decomposition, while every KV page comes from ONE shared,
+/// tenant-tagged, refcounted mem::PagedKvArena partitioned by a
+/// pluggable KvBudgetPolicy (static split / proportional-to-load /
+/// watermark borrowing). A single-model engine is the same engine with
+/// one deployment, which owns the whole arena under the static split:
 ///
 ///   ModelRegistry reg;
 ///   auto llama = reg.add(llama_session, "tinyllama", /*chunk=*/4);
 ///   auto bert  = reg.add(bert_session, "mobilebert", /*chunk=*/8);
 ///   BatchedEngine engine(reg, {.total_kv_slots = 4});
-///   auto a = engine.submit(llama, {1, 7, 3}, 12);
-///   auto b = engine.submit(bert, {5, 9, 2, 4}, 0);  // encoder: prefill-only
+///   auto a = engine.submit({.model = llama, .prompt = {1, 7, 3},
+///                           .new_tokens = 12});
+///   auto b = engine.submit({.model = bert, .prompt = {5, 9, 2, 4}});
+///   auto results = engine.run_to_completion();
 ///
 /// Functional contract: every request decodes against its own pooled
 /// KV-cache set from its model's KvCachePool, so its token stream is
@@ -301,22 +298,25 @@ struct ServingStats {
 /// plan the memory planner already validated.
 class BatchedEngine {
  public:
-  /// Single-model options (the historical surface).
-  struct Options {
-    int max_batch = 4;  ///< KV pages in the shared pool
+  /// Engine options. Per-model knobs (chunk size, quota, cap) live on
+  /// the ModelRegistry entries.
+  struct MultiOptions {
+    /// Shared KV arena size in pages, partitioned across the deployed
+    /// models by the budget policy. Must cover at least one page per
+    /// deployment.
+    int total_kv_slots = 4;
     /// Bound on the *queue* — the backlog beyond what the free KV pages
     /// can absorb at the next admission point. max_pending == 0 still
     /// accepts submits an idle engine can admit directly.
     int max_pending = 64;
-    /// Prompt-chunk size of the chunked-prefill step model; 0 disables
-    /// chunking (serial-prefill compatibility mode). Values beyond the
-    /// deployment's prompt_len are clamped to one whole-prompt chunk.
-    int prefill_chunk_tokens = 0;
     /// Admission-ordering policy; null selects the built-in FIFO
     /// scheduler (bit-exact with the pre-scheduler engine). Policies are
     /// stateless, so one instance may be shared across engines; see
     /// runtime::make_scheduler for the built-in set.
     std::shared_ptr<const Scheduler> scheduler = nullptr;
+    /// Shared-arena partitioning policy; null selects the built-in
+    /// static split (each model owns exactly its quota).
+    std::shared_ptr<const KvBudgetPolicy> kv_budget = nullptr;
     /// Fail-fast admission control: refuse at submit() any deadline the
     /// cost model proves unattainable even on an idle engine (reported
     /// as Rejection::hopeless_deadline, distinct from queue_full). Off
@@ -345,10 +345,11 @@ class BatchedEngine {
     /// trace-lane key collisions (DMCU-TRC-005). Off by default.
     bool strict = false;
     /// KV page size in token positions (the vLLM layout against a fixed
-    /// L2 budget), clamped to the model's ar_context. Admission charges
-    /// only the pages a request's current length needs, and decode grows
-    /// the mapping page by page. 0 (the default) makes one page span the
-    /// whole context, so each request holds exactly one page.
+    /// L2 budget), clamped per tenant to its ar_context. Admission
+    /// charges only the pages a request's current length needs, and
+    /// decode grows the mapping page by page. 0 (the default) makes one
+    /// page span each tenant's whole context, so each request holds
+    /// exactly one page. Quotas and caps count pages.
     int kv_page_tokens = 0;
     /// Requests of a chunked-prefill deployment whose prompts share a
     /// registered common prefix adopt its read-only KV pages
@@ -358,51 +359,12 @@ class BatchedEngine {
     bool prefix_sharing = false;
   };
 
-  /// Multi-model options. Per-model knobs (chunk size, quota, cap) live
-  /// on the ModelRegistry entries.
-  struct MultiOptions {
-    /// Shared KV arena size in pages, partitioned across the deployed
-    /// models by the budget policy. Must cover at least one page per
-    /// deployment.
-    int total_kv_slots = 4;
-    int max_pending = 64;
-    std::shared_ptr<const Scheduler> scheduler = nullptr;
-    /// Shared-arena partitioning policy; null selects the built-in
-    /// static split (each model owns exactly its quota).
-    std::shared_ptr<const KvBudgetPolicy> kv_budget = nullptr;
-    /// Overload controls, same semantics as the single-model Options;
-    /// all default off so the default config is bit-exact with the
-    /// non-preemptive engine.
-    bool fail_fast_deadlines = false;
-    bool fair_shedding = false;
-    std::shared_ptr<const PreemptionPolicy> preemption = nullptr;
-    /// Strict construction: analyzer-gated, same semantics as
-    /// Options::strict.
-    bool strict = false;
-    /// KV page size in token positions, clamped per tenant to its
-    /// ar_context; 0 (the default) makes one page span each tenant's
-    /// whole context. Quotas and caps count pages. Same semantics as
-    /// Options::kv_page_tokens.
-    int kv_page_tokens = 0;
-    /// Copy-on-write prompt-prefix sharing across a chunked tenant's
-    /// requests. Same semantics as Options::prefix_sharing.
-    bool prefix_sharing = false;
-  };
-
-  /// Multi-model engine over `registry` (every session must outlive the
+  /// The engine over `registry` (every borrowed session must outlive the
   /// engine). `tracer`, when non-null, receives one span per charge with
   /// the owning request id — and, when more than one model is deployed,
   /// the model id — tagged.
   explicit BatchedEngine(const ModelRegistry& registry, MultiOptions opts,
                          sim::Tracer* tracer = nullptr);
-
-  /// Single-model engine; `session` must outlive the engine. Exactly the
-  /// multi-model engine with one deployment whose quota and cap are
-  /// max_batch.
-  explicit BatchedEngine(const InferenceSession& session, Options opts,
-                         sim::Tracer* tracer = nullptr);
-  explicit BatchedEngine(const InferenceSession& session)
-      : BatchedEngine(session, Options{}) {}
 
   /// One queued generation request — THE submit surface. Designated
   /// initializers name every field at the call site, so routers, benches
@@ -431,27 +393,6 @@ class BatchedEngine {
   /// reaches max_pending (graceful backpressure — rejects are not SLO
   /// misses; see last_rejection()).
   [[nodiscard]] std::optional<RequestId> submit(Request req);
-
-  /// Positional compatibility shim over submit(Request).
-  [[nodiscard]] std::optional<RequestId> submit(ModelId model,
-                                                std::vector<int> prompt,
-                                                int new_tokens,
-                                                SloSpec slo = {}) {
-    return submit(Request{.model = model,
-                          .prompt = std::move(prompt),
-                          .new_tokens = new_tokens,
-                          .slo = slo});
-  }
-
-  /// Single-model positional shim: submit against model 0.
-  [[nodiscard]] std::optional<RequestId> submit(std::vector<int> prompt,
-                                                int new_tokens,
-                                                SloSpec slo = {}) {
-    return submit(Request{.model = 0,
-                          .prompt = std::move(prompt),
-                          .new_tokens = new_tokens,
-                          .slo = slo});
-  }
 
   /// The admission policy in effect (the built-in FIFO instance when the
   /// options carried none).

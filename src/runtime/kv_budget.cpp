@@ -15,7 +15,7 @@ const KvBudgetPolicy::TenantView& view_of(
   return tenants[static_cast<std::size_t>(tenant)];
 }
 
-/// Slots other demanding tenants are still owed out of their reserves —
+/// Pages other demanding tenants are still owed out of their reserves —
 /// capacity a borrow must never eat into.
 int unmet_reserves_of_others(
     ModelId tenant, const std::vector<KvBudgetPolicy::TenantView>& tenants) {
@@ -30,37 +30,37 @@ int unmet_reserves_of_others(
 }  // namespace
 
 bool StaticSplitPolicy::may_acquire(
-    ModelId tenant, const std::vector<TenantView>& tenants, int /*total_slots*/,
-    int /*free_slots*/) const {
+    ModelId tenant, const std::vector<TenantView>& tenants, int /*total_pages*/,
+    int /*free_pages*/) const {
   const TenantView& t = view_of(tenant, tenants);
   return t.in_use < t.quota;
 }
 
 bool ProportionalSharePolicy::may_acquire(
-    ModelId tenant, const std::vector<TenantView>& tenants, int total_slots,
-    int /*free_slots*/) const {
+    ModelId tenant, const std::vector<TenantView>& tenants, int total_pages,
+    int /*free_pages*/) const {
   const TenantView& t = view_of(tenant, tenants);
   long long total_demand = 0;
   for (const auto& v : tenants) total_demand += v.in_use + v.pending;
   if (total_demand <= 0) return false;  // nothing queued anywhere
   const long long demand = t.in_use + t.pending;
   if (demand <= 0) return false;
-  // ceil(total * demand / total_demand), floored at one slot so any
+  // ceil(total * demand / total_demand), floored at one page so any
   // demanding tenant makes progress even when dwarfed by the others.
   const long long allowance = std::max<long long>(
-      1, (static_cast<long long>(total_slots) * demand + total_demand - 1) /
+      1, (static_cast<long long>(total_pages) * demand + total_demand - 1) /
              total_demand);
   return t.in_use < allowance;
 }
 
 bool WatermarkBorrowPolicy::may_acquire(
-    ModelId tenant, const std::vector<TenantView>& tenants, int /*total_slots*/,
-    int free_slots) const {
+    ModelId tenant, const std::vector<TenantView>& tenants, int /*total_pages*/,
+    int free_pages) const {
   const TenantView& t = view_of(tenant, tenants);
   if (t.in_use < t.quota) return true;  // guaranteed reserve
-  // Borrow: grant only while the remaining free slots still cover every
+  // Borrow: grant only while the remaining free pages still cover every
   // other demanding tenant's unmet reserve plus the configured headroom.
-  return free_slots - 1 >= unmet_reserves_of_others(tenant, tenants) +
+  return free_pages - 1 >= unmet_reserves_of_others(tenant, tenants) +
                                opts_.headroom;
 }
 

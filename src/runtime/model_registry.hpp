@@ -14,7 +14,7 @@ namespace distmcu::runtime {
 /// One deployed (model::Config, chip-count, block program) tuple plus
 /// its serving shape. The session owns the model, the partition, and
 /// the timed block program; the registry entry adds the per-tenant
-/// serving knobs the multi-model engine needs.
+/// serving knobs the engine needs.
 struct ModelDeployment {
   const InferenceSession* session = nullptr;
   /// Set when the registry built the session from a DeploymentSpec;
@@ -39,25 +39,26 @@ struct ModelDeployment {
   int max_resident = 0;
 };
 
-/// The deployments one multi-model engine multiplexes: N sessions keyed
-/// by a dense ModelId (the add() order).
+/// The deployments one BatchedEngine multiplexes: N sessions keyed by a
+/// dense ModelId (the add() order). A single-model engine is a registry
+/// with one entry.
 ///
-/// `add(DeploymentSpec)` is the intended registration surface: the
-/// registry builds and owns the InferenceSession the spec describes
-/// (shared_ptr, copied into every engine), so there is no session
-/// lifetime for callers to get wrong. The legacy borrowed-session
-/// `add()` remains as a shim for callers that pre-built a session —
-/// those sessions must outlive every engine built from the registry.
+/// `add(DeploymentSpec)` builds and owns the InferenceSession the spec
+/// describes (shared_ptr, copied into every engine), so there is no
+/// session lifetime for callers to get wrong. The borrowed-session
+/// `add()` registers a session the caller already built — the way to
+/// share one session (and its weights) across several registries or
+/// engines; such a session must outlive every engine built from the
+/// registry.
 class ModelRegistry {
  public:
   /// Register a deployment described by `spec`; the registry builds and
   /// owns its session. Returns its ModelId (dense, starting at 0).
   ModelId add(const DeploymentSpec& spec);
 
-  /// DEPRECATED shim over the spec form: registers a caller-owned
-  /// session with the legacy positional knobs. Prefer
-  /// add(DeploymentSpec) — this survives only for callers that need to
-  /// share one pre-built session across registries.
+  /// Register a caller-owned `session` under `name` with its per-tenant
+  /// serving knobs (see ModelDeployment). The spec form is implemented
+  /// on this one.
   ModelId add(const InferenceSession& session, std::string name,
               int prefill_chunk_tokens = 0, int kv_quota = 0,
               int max_resident = 0);

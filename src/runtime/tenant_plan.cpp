@@ -132,6 +132,10 @@ KvShares derive_kv_shares(const std::vector<ModelDeployment>& entries,
     out.starved = unset - rem;
     return out;
   }
+  // No quota or cap below one page can come out of this loop: an
+  // explicit quota is > 0 (ModelRegistry rejects negative ones), a
+  // derived one is at least rem / unset >= 1 once rem >= unset passed
+  // the no_reserve check above, and so total_pages >= 1 too.
   out.shares.reserve(entries.size());
   int unset_seen = 0;
   for (const ModelDeployment& e : entries) {
@@ -140,16 +144,10 @@ KvShares derive_kv_shares(const std::vector<ModelDeployment>& entries,
       quota = rem / unset + (unset_seen < rem % unset ? 1 : 0);
       ++unset_seen;
     }
-    if (quota < 1) {
-      out.fault = KvShares::Fault::zero_quota;
-      out.zero_quota_model = static_cast<int>(out.shares.size());
-      out.shares.clear();
-      return out;
-    }
     int cap = e.max_resident > 0 ? std::min(e.max_resident, total_pages)
                                  : (borrowing ? total_pages : quota);
     if (!borrowing) cap = std::min(cap, quota);
-    out.shares.push_back({.quota = quota, .cap = std::max(cap, 1)});
+    out.shares.push_back({.quota = quota, .cap = cap});
   }
   return out;
 }

@@ -108,12 +108,10 @@ struct KvShares {
     none,
     oversubscribed,  // explicit quotas sum past the arena
     no_reserve,      // the remainder leaves an unset quota at zero
-    zero_quota,      // a deployment derived a quota below one page
   };
   Fault fault = Fault::none;
-  int explicit_sum = 0;       // summed explicit quotas
-  int starved = 0;            // unset-quota deployments left without a page
-  int zero_quota_model = -1;  // the deployment of a zero_quota fault
+  int explicit_sum = 0;  // summed explicit quotas
+  int starved = 0;       // unset-quota deployments left without a page
   std::vector<KvShare> shares;  // one per deployment; empty on a fault
 };
 

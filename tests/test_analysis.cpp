@@ -19,6 +19,7 @@
 
 #include "analysis/deployment_analyzer.hpp"
 #include "invariant_env.hpp"
+#include "registry_of.hpp"
 #include "runtime/batched_engine.hpp"
 #include "runtime/inference_session.hpp"
 #include "runtime/kv_budget.hpp"
@@ -37,6 +38,7 @@ using runtime::ModelRegistry;
 namespace {
 
 using distmcu::testing::invariant_seed_count;
+using distmcu::testing::registry_of;
 using distmcu::testing::SeedReproLog;
 
 model::TransformerConfig tiny_cfg(int ar_context, int prompt_len) {
@@ -277,13 +279,13 @@ TEST(AnalysisStrict, MemOverflowRefusedWithCode) {
   // Previously runtime-aborting: plain construction dies mid-build with
   // an unstructured PlanError from the pooled-KV fit check; strict mode
   // refuses the same config up front with the structured code.
-  BatchedEngine::Options opts;
-  opts.max_batch = 4096;
-  EXPECT_THROW(BatchedEngine(tiny_session(), opts), PlanError);
+  BatchedEngine::MultiOptions opts;
+  opts.total_kv_slots = 4096;
+  EXPECT_THROW(BatchedEngine(registry_of(tiny_session()), opts), PlanError);
 
   opts.strict = true;
   try {
-    BatchedEngine engine(tiny_session(), opts);
+    BatchedEngine engine(registry_of(tiny_session()), opts);
     FAIL() << "strict construction accepted an unsound deployment";
   } catch (const AnalysisError& e) {
     EXPECT_TRUE(e.report().has(analysis::kMemOverflow)) << e.what();
@@ -329,11 +331,12 @@ TEST(AnalysisStrict, TraceCollisionRefusedOnlyUnderStrict) {
 }
 
 TEST(AnalysisStrict, CleanConfigConstructsAndServes) {
-  BatchedEngine::Options opts;
-  opts.max_batch = 2;
+  BatchedEngine::MultiOptions opts;
+  opts.total_kv_slots = 2;
   opts.strict = true;
-  BatchedEngine engine(tiny_session(), opts);
-  ASSERT_TRUE(engine.submit({1, 2, 3}, 4).has_value());
+  BatchedEngine engine(registry_of(tiny_session()), opts);
+  ASSERT_TRUE(engine.submit({.prompt = {1, 2, 3},
+                             .new_tokens = 4}).has_value());
   const auto results = engine.run_to_completion();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].gen.generated, 4);
@@ -345,7 +348,9 @@ TEST(AnalysisStrict, SubmitTimeThrowCaughtStatically) {
   ModelRegistry reg;
   (void)reg.add(tiny_session(), "tiny", 0, 2, 2);
   BatchedEngine engine(reg, {.total_kv_slots = 2});
-  EXPECT_THROW((void)engine.submit(0, {1, 2, 3, 4, 5, 6, 7, 8}, 1), Error);
+  EXPECT_THROW((void)engine.submit({.model = 0,
+                                    .prompt = {1, 2, 3, 4, 5, 6, 7, 8},
+                                    .new_tokens = 1}), Error);
 
   Workload wl;
   wl.requests.push_back({.model = 0, .prompt_tokens = 8, .new_tokens = 1});
@@ -368,7 +373,8 @@ TEST(AnalysisStrict, PagedCleanConfigConstructsAndServes) {
   opts.kv_page_tokens = 4;
   opts.prefix_sharing = true;
   BatchedEngine engine(reg, opts);
-  ASSERT_TRUE(engine.submit(0, {1, 2, 3}, 4).has_value());
+  ASSERT_TRUE(engine.submit({.model = 0, .prompt = {1, 2, 3},
+                             .new_tokens = 4}).has_value());
   const auto results = engine.run_to_completion();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].gen.generated, 4);
@@ -405,7 +411,8 @@ TEST(AnalysisStrict, PagedSubmitLivelockCaughtStatically) {
   opts.total_kv_slots = 4;
   opts.kv_page_tokens = 4;
   BatchedEngine engine(reg, opts);
-  EXPECT_THROW((void)engine.submit(0, {1, 2, 3, 4, 5, 6}, 18), Error);
+  EXPECT_THROW((void)engine.submit({.model = 0, .prompt = {1, 2, 3, 4, 5, 6},
+                                    .new_tokens = 18}), Error);
 
   Workload wl;
   wl.requests.push_back({.model = 0, .prompt_tokens = 6, .new_tokens = 18});
@@ -429,7 +436,8 @@ TEST(AnalysisStrict, StaticSplitCapsMaxResidentAtTheQuota) {
   BatchedEngine engine(reg, opts);
   EXPECT_EQ(engine.model_kv_cap(0), 1);
   EXPECT_FALSE(engine.fits_page_cap(0, 3, 6));
-  EXPECT_THROW((void)engine.submit(0, {1, 2, 3}, 6), Error);
+  EXPECT_THROW((void)engine.submit({.model = 0, .prompt = {1, 2, 3},
+                                    .new_tokens = 6}), Error);
 
   Workload wl;
   wl.requests.push_back({.model = 0, .prompt_tokens = 3, .new_tokens = 6});
@@ -568,13 +576,15 @@ TEST(ServingInvariantsAnalysis, CleanConfigsServeBadConfigsThrow) {
             << rep.to_text();
         if (!fits) {
           ++refused_seen;
-          EXPECT_THROW((void)engine.submit(job.model, job.prompt,
-                                           job.new_tokens),
+          EXPECT_THROW((void)engine.submit({.model = job.model,
+                                            .prompt = job.prompt,
+                                            .new_tokens = job.new_tokens}),
                        Error)
               << "seed " << seed << " request " << j;
           continue;
         }
-        if (engine.submit(job.model, job.prompt, job.new_tokens)) ++accepted;
+        if (engine.submit({.model = job.model, .prompt = job.prompt,
+                           .new_tokens = job.new_tokens})) ++accepted;
       }
       const auto results = engine.run_to_completion();
       EXPECT_EQ(static_cast<int>(results.size()), accepted)

@@ -15,12 +15,14 @@
 
 #include "mem/arena.hpp"
 #include "model/kv_cache.hpp"
+#include "registry_of.hpp"
 #include "runtime/batched_engine.hpp"
 #include "runtime/inference_session.hpp"
 #include "sim/tracer.hpp"
 #include "util/check.hpp"
 
 using namespace distmcu;
+using distmcu::testing::registry_of;
 using model::TransformerConfig;
 using runtime::BatchedEngine;
 using runtime::GenerationResult;
@@ -92,10 +94,12 @@ TEST(BatchedEngine, TokensIdenticalToSequentialGenerate) {
   const auto workloads = mixed_workloads();
 
   for (int batch = 1; batch <= 4; ++batch) {
-    BatchedEngine engine(session, {.max_batch = batch, .max_pending = 64});
+    BatchedEngine engine(registry_of(session), {.total_kv_slots = batch,
+                                                .max_pending = 64});
     std::vector<RequestId> ids;
     for (const auto& w : workloads) {
-      const auto id = engine.submit(w.prompt, w.new_tokens);
+      const auto id = engine.submit({.prompt = w.prompt,
+                                     .new_tokens = w.new_tokens});
       ASSERT_TRUE(id.has_value());
       ids.push_back(*id);
     }
@@ -115,9 +119,13 @@ TEST(BatchedEngine, TokensIdenticalToSequentialGenerate) {
 TEST(BatchedEngine, RequestsFinishAtDifferentSteps) {
   const auto cfg = small_llama();
   const InferenceSession session(cfg, 4);
-  BatchedEngine engine(session, {.max_batch = 4, .max_pending = 64});
+  BatchedEngine engine(registry_of(session), {.total_kv_slots = 4,
+                                              .max_pending = 64});
   std::vector<RequestId> ids;
-  for (const auto& w : mixed_workloads()) ids.push_back(*engine.submit(w.prompt, w.new_tokens));
+  for (const auto& w : mixed_workloads()) {
+    ids.push_back(
+        *engine.submit({.prompt = w.prompt, .new_tokens = w.new_tokens}));
+  }
   const auto results = engine.run_to_completion();
   // All admitted together (batch covers the workload), so finish steps
   // order by token count: 1 < 3 < 6 < 8.
@@ -134,8 +142,11 @@ TEST(BatchedEngine, RequestsFinishAtDifferentSteps) {
 TEST(BatchedEngine, AggregateAccountingSumsToPerRequestParts) {
   const auto cfg = small_llama();
   const InferenceSession session(cfg, 4);
-  BatchedEngine engine(session, {.max_batch = 3, .max_pending = 64});
-  for (const auto& w : mixed_workloads()) (void)*engine.submit(w.prompt, w.new_tokens);
+  BatchedEngine engine(registry_of(session), {.total_kv_slots = 3,
+                                              .max_pending = 64});
+  for (const auto& w : mixed_workloads()) {
+    (void)*engine.submit({.prompt = w.prompt, .new_tokens = w.new_tokens});
+  }
   const auto results = engine.run_to_completion();
 
   Cycles cycle_sum = 0;
@@ -172,9 +183,10 @@ TEST(BatchedEngine, SingleRequestMatchesGenerateCosts) {
   // case is covered by SingleStreamOverlapHidesStreamBehindCompute).
   const auto cfg = small_llama();
   const InferenceSession session(cfg, 4);
-  BatchedEngine engine(session, {.max_batch = 1, .max_pending = 4});
+  BatchedEngine engine(registry_of(session), {.total_kv_slots = 1,
+                                              .max_pending = 4});
   const std::vector<int> prompt{3, 1, 4};
-  const auto id = engine.submit(prompt, 5);
+  const auto id = engine.submit({.prompt = prompt, .new_tokens = 5});
   ASSERT_TRUE(id.has_value());
   const auto results = engine.run_to_completion();
   const auto solo = session.generate(prompt, 5);
@@ -204,8 +216,11 @@ TEST(BatchedEngine, BatchingReducesAggregateCyclesVersusSequential) {
   const int steps = 6;
   const int batch = 4;
 
-  BatchedEngine engine(session, {.max_batch = batch, .max_pending = 64});
-  for (int i = 0; i < batch; ++i) (void)*engine.submit(prompt, steps);
+  BatchedEngine engine(registry_of(session), {.total_kv_slots = batch,
+                                              .max_pending = 64});
+  for (int i = 0; i < batch; ++i) {
+    (void)*engine.submit({.prompt = prompt, .new_tokens = steps});
+  }
   (void)engine.run_to_completion();
 
   const auto solo = session.generate(prompt, steps);
@@ -246,10 +261,12 @@ TEST(BatchedEngine, PrefetchOverlapConservation) {
 
   const int batch = 3;
   const int steps = 5;
-  BatchedEngine engine(session, {.max_batch = batch, .max_pending = 64});
+  BatchedEngine engine(registry_of(session), {.total_kv_slots = batch,
+                                              .max_pending = 64});
   std::vector<RequestId> ids;
   for (int i = 0; i < batch; ++i) {
-    ids.push_back(*engine.submit({1 + i, 9 - i}, steps));
+    ids.push_back(*engine.submit({.prompt = {1 + i, 9 - i},
+                                  .new_tokens = steps}));
   }
   const auto results = engine.run_to_completion();
   const auto& stats = engine.stats();
@@ -304,11 +321,13 @@ TEST(BatchedEngine, MidServingAdmissionKeepsConservation) {
   const Cycles stream = ar.report.breakdown.dma_l3_l2 *
                         static_cast<Cycles>(cfg.num_layers);
 
-  BatchedEngine engine(session, {.max_batch = 2, .max_pending = 8});
+  BatchedEngine engine(registry_of(session), {.total_kv_slots = 2,
+                                              .max_pending = 8});
   std::vector<RequestId> ids;
-  ids.push_back(*engine.submit({1, 2}, 6));
-  ids.push_back(*engine.submit({3}, 2));
-  ids.push_back(*engine.submit({4, 5}, 4));  // joins mid-serving
+  ids.push_back(*engine.submit({.prompt = {1, 2}, .new_tokens = 6}));
+  ids.push_back(*engine.submit({.prompt = {3}, .new_tokens = 2}));
+  // joins mid-serving
+  ids.push_back(*engine.submit({.prompt = {4, 5}, .new_tokens = 4}));
   const auto results = engine.run_to_completion();
   const auto& stats = engine.stats();
   ASSERT_GT(result_for(results, ids[2]).admitted_step, 0);
@@ -344,8 +363,9 @@ TEST(BatchedEngine, SingleStreamOverlapHidesStreamBehindCompute) {
 
   const std::vector<int> prompt{2, 4, 6};
   const int steps = 6;
-  BatchedEngine engine(session, {.max_batch = 1, .max_pending = 4});
-  const auto id = engine.submit(prompt, steps);
+  BatchedEngine engine(registry_of(session), {.total_kv_slots = 1,
+                                              .max_pending = 4});
+  const auto id = engine.submit({.prompt = prompt, .new_tokens = steps});
   ASSERT_TRUE(id.has_value());
   const auto results = engine.run_to_completion();
   const auto solo = session.generate(prompt, steps);
@@ -378,8 +398,11 @@ TEST(BatchedEngine, NoStallWhenBatchComputeCoversStream) {
   ASSERT_GT(stream, 0u);
   ASSERT_LE(stream, 3 * per_req);
 
-  BatchedEngine engine(session, {.max_batch = 3, .max_pending = 8});
-  for (int i = 0; i < 3; ++i) (void)*engine.submit({1 + i}, 5);
+  BatchedEngine engine(registry_of(session), {.total_kv_slots = 3,
+                                              .max_pending = 8});
+  for (int i = 0; i < 3; ++i) {
+    (void)*engine.submit({.prompt = {1 + i}, .new_tokens = 5});
+  }
   (void)engine.run_to_completion();
   EXPECT_EQ(engine.stats().prefetch_stall_cycles, 0u);
   EXPECT_EQ(engine.stats().stream_cycles_hidden,
@@ -392,10 +415,14 @@ TEST(BatchedEngine, ContinuousAdmissionBackfillsFreedSlots) {
   // static batches).
   const auto cfg = small_llama();
   const InferenceSession session(cfg, 4);
-  BatchedEngine engine(session, {.max_batch = 2, .max_pending = 64});
+  BatchedEngine engine(registry_of(session), {.total_kv_slots = 2,
+                                              .max_pending = 64});
   const auto workloads = mixed_workloads();
   std::vector<RequestId> ids;
-  for (const auto& w : workloads) ids.push_back(*engine.submit(w.prompt, w.new_tokens));
+  for (const auto& w : workloads) {
+    ids.push_back(
+        *engine.submit({.prompt = w.prompt, .new_tokens = w.new_tokens}));
+  }
   EXPECT_EQ(engine.pending_requests(), 4);
 
   const auto results = engine.run_to_completion();
@@ -415,13 +442,14 @@ TEST(BatchedEngine, ContinuousAdmissionBackfillsFreedSlots) {
 TEST(BatchedEngine, SubmitRejectsGracefullyWhenQueueFull) {
   const auto cfg = small_llama();
   const InferenceSession session(cfg, 2);
-  BatchedEngine engine(session, {.max_batch = 1, .max_pending = 1});
-  const auto a = engine.submit({1, 2}, 4);
+  BatchedEngine engine(registry_of(session), {.total_kv_slots = 1,
+                                              .max_pending = 1});
+  const auto a = engine.submit({.prompt = {1, 2}, .new_tokens = 4});
   ASSERT_TRUE(a.has_value());
   EXPECT_TRUE(engine.step());  // admits A into the only KV slot
-  const auto b = engine.submit({3, 4}, 4);
+  const auto b = engine.submit({.prompt = {3, 4}, .new_tokens = 4});
   ASSERT_TRUE(b.has_value());  // queue has room again
-  const auto c = engine.submit({5, 6}, 4);
+  const auto c = engine.submit({.prompt = {5, 6}, .new_tokens = 4});
   EXPECT_FALSE(c.has_value());  // queue full: graceful reject, no throw
   EXPECT_EQ(engine.stats().rejected, 1);
 
@@ -438,23 +466,25 @@ TEST(BatchedEngine, MaxPendingZeroStillAdmitsUpToFreeSlots) {
   // to wait behind a full batch are rejected.
   const auto cfg = small_llama();
   const InferenceSession session(cfg, 2);
-  BatchedEngine engine(session, {.max_batch = 2, .max_pending = 0});
+  BatchedEngine engine(registry_of(session), {.total_kv_slots = 2,
+                                              .max_pending = 0});
 
-  const auto a = engine.submit({1, 2}, 2);
-  const auto b = engine.submit({3}, 2);
+  const auto a = engine.submit({.prompt = {1, 2}, .new_tokens = 2});
+  const auto b = engine.submit({.prompt = {3}, .new_tokens = 2});
   ASSERT_TRUE(a.has_value());
   ASSERT_TRUE(b.has_value());
   // A third submit exceeds what the free slots can absorb: rejected.
-  EXPECT_FALSE(engine.submit({5}, 1).has_value());
+  EXPECT_FALSE(engine.submit({.prompt = {5}, .new_tokens = 1}).has_value());
   EXPECT_EQ(engine.stats().rejected, 1);
 
   EXPECT_TRUE(engine.step());  // both admitted, batch now full
-  EXPECT_FALSE(engine.submit({6}, 1).has_value());  // queue bound is 0
+  // queue bound is 0
+  EXPECT_FALSE(engine.submit({.prompt = {6}, .new_tokens = 1}).has_value());
 
   auto results = engine.run_to_completion();
   EXPECT_EQ(results.size(), 2u);
   // Drained: free slots absorb submits again.
-  const auto e = engine.submit({7}, 1);
+  const auto e = engine.submit({.prompt = {7}, .new_tokens = 1});
   ASSERT_TRUE(e.has_value());
   (void)engine.run_to_completion();
   EXPECT_EQ(engine.stats().completed, 3);
@@ -474,10 +504,11 @@ TEST(BatchedEngine, AdmittedAtExcludesEarlierSameStepPrefills) {
       static_cast<Cycles>(cfg.num_layers);
   ASSERT_GT(prefill, 0u);
 
-  BatchedEngine engine(session, {.max_batch = 3, .max_pending = 8});
-  const auto a = engine.submit({1, 2}, 3);
-  const auto b = engine.submit({3, 4}, 3);
-  const auto c = engine.submit({5, 6}, 3);
+  BatchedEngine engine(registry_of(session), {.total_kv_slots = 3,
+                                              .max_pending = 8});
+  const auto a = engine.submit({.prompt = {1, 2}, .new_tokens = 3});
+  const auto b = engine.submit({.prompt = {3, 4}, .new_tokens = 3});
+  const auto c = engine.submit({.prompt = {5, 6}, .new_tokens = 3});
   const auto results = engine.run_to_completion();
 
   const auto& ra = result_for(results, *a);
@@ -508,10 +539,12 @@ TEST(BatchedEngine, FinishedAtExcludesWorkAfterFinalTokenCommit) {
   const Cycles prefill =
       session.run_block(model::Mode::prompt).report.block_cycles * layers;
 
-  BatchedEngine engine(session, {.max_batch = 2, .max_pending = 8});
-  (void)*engine.submit({1, 2}, 5);  // A keeps decoding past B's finish
-  const auto b = engine.submit({3, 4}, 2);
-  const auto c = engine.submit({5, 6}, 2);
+  BatchedEngine engine(registry_of(session), {.total_kv_slots = 2,
+                                              .max_pending = 8});
+  // A keeps decoding past B's finish
+  (void)*engine.submit({.prompt = {1, 2}, .new_tokens = 5});
+  const auto b = engine.submit({.prompt = {3, 4}, .new_tokens = 2});
+  const auto c = engine.submit({.prompt = {5, 6}, .new_tokens = 2});
   const auto results = engine.run_to_completion();
 
   // B commits its final token at the step-1 boundary; its residence
@@ -525,9 +558,10 @@ TEST(BatchedEngine, FinishedAtExcludesWorkAfterFinalTokenCommit) {
 
   // Prefill-only requests end at their own prefill, even when another
   // request's prefill follows in the same step.
-  BatchedEngine engine2(session, {.max_batch = 2, .max_pending = 8});
-  const auto d = engine2.submit({7}, 0);
-  const auto e = engine2.submit({8}, 0);
+  BatchedEngine engine2(registry_of(session), {.total_kv_slots = 2,
+                                               .max_pending = 8});
+  const auto d = engine2.submit({.prompt = {7}, .new_tokens = 0});
+  const auto e = engine2.submit({.prompt = {8}, .new_tokens = 0});
   const auto results2 = engine2.run_to_completion();
   EXPECT_EQ(result_for(results2, *d).finished_at, prefill);
   EXPECT_EQ(result_for(results2, *e).admitted_at, prefill);
@@ -539,27 +573,31 @@ TEST(BatchedEngine, FinishedAtExcludesWorkAfterFinalTokenCommit) {
 TEST(BatchedEngine, SubmitValidatesLikeGenerate) {
   const auto cfg = small_llama();
   const InferenceSession session(cfg, 2);
-  BatchedEngine engine(session, {});
-  EXPECT_THROW((void)engine.submit({}, 1), Error);
-  EXPECT_THROW((void)engine.submit({1}, -1), Error);
-  EXPECT_THROW((void)engine.submit({1}, cfg.ar_context + 1), Error);
+  BatchedEngine engine(registry_of(session), {});
+  EXPECT_THROW((void)engine.submit({.prompt = {}, .new_tokens = 1}), Error);
+  EXPECT_THROW((void)engine.submit({.prompt = {1}, .new_tokens = -1}), Error);
+  EXPECT_THROW((void)engine.submit({.prompt = {1},
+                                    .new_tokens = cfg.ar_context + 1}), Error);
   // Prefill cost/fit are derived from the static prompt shape, so
   // prompts beyond prompt_len are rejected rather than under-charged.
   const std::vector<int> long_prompt(
       static_cast<std::size_t>(cfg.prompt_len) + 1, 1);
-  EXPECT_THROW((void)engine.submit(long_prompt, 1), Error);
+  EXPECT_THROW((void)engine.submit({.prompt = long_prompt,
+                                    .new_tokens = 1}), Error);
   // Bad options are rejected up front, before any pool construction.
-  EXPECT_THROW(BatchedEngine(session, {.max_batch = 0, .max_pending = 4}),
+  EXPECT_THROW(BatchedEngine(registry_of(session), {.total_kv_slots = 0,
+                                                    .max_pending = 4}),
                Error);
-  EXPECT_THROW(BatchedEngine(session, {.max_batch = 2, .max_pending = -1}),
+  EXPECT_THROW(BatchedEngine(registry_of(session), {.total_kv_slots = 2,
+                                                    .max_pending = -1}),
                Error);
 }
 
 TEST(BatchedEngine, ZeroNewTokensFinishesAfterPrefillOnly) {
   const auto cfg = small_llama();
   const InferenceSession session(cfg, 2);
-  BatchedEngine engine(session, {});
-  const auto id = engine.submit({1, 2, 3}, 0);
+  BatchedEngine engine(registry_of(session), {});
+  const auto id = engine.submit({.prompt = {1, 2, 3}, .new_tokens = 0});
   ASSERT_TRUE(id.has_value());
   const auto results = engine.run_to_completion();
   ASSERT_EQ(results.size(), 1u);
@@ -575,9 +613,10 @@ TEST(BatchedEngine, TracerAttributesChargesToRequests) {
   const auto cfg = small_llama();
   const InferenceSession session(cfg, 4);
   sim::Tracer tracer;
-  BatchedEngine engine(session, {.max_batch = 2, .max_pending = 8}, &tracer);
-  const auto a = engine.submit({1, 2, 3}, 4);
-  const auto b = engine.submit({7, 8}, 2);
+  BatchedEngine engine(registry_of(session), {.total_kv_slots = 2,
+                                              .max_pending = 8}, &tracer);
+  const auto a = engine.submit({.prompt = {1, 2, 3}, .new_tokens = 4});
+  const auto b = engine.submit({.prompt = {7, 8}, .new_tokens = 2});
   const auto results = engine.run_to_completion();
 
   // Every span carries its owning request; traced time per request
@@ -604,9 +643,10 @@ TEST(BatchedEngine, TracerLaysSpansOnPerRequestLanesWithOverlap) {
   const auto cfg = streamed_llama();
   const InferenceSession session(cfg, 4);
   sim::Tracer tracer;
-  BatchedEngine engine(session, {.max_batch = 2, .max_pending = 8}, &tracer);
-  const auto a = engine.submit({1, 2}, 4);
-  const auto b = engine.submit({7}, 4);
+  BatchedEngine engine(registry_of(session), {.total_kv_slots = 2,
+                                              .max_pending = 8}, &tracer);
+  const auto a = engine.submit({.prompt = {1, 2}, .new_tokens = 4});
+  const auto b = engine.submit({.prompt = {7}, .new_tokens = 4});
   const auto results = engine.run_to_completion();
   const auto& stats = engine.stats();
   // Precondition: two-request compute cannot cover the stream, so every
@@ -667,13 +707,13 @@ TEST(BatchedEngineChunked, TokensIdenticalAcrossChunkSizes) {
   const auto workloads = mixed_workloads();
 
   for (const int chunk : {1, 2, 3, cfg.prompt_len}) {
-    BatchedEngine engine(session, {.max_batch = 2,
-                                   .max_pending = 64,
-                                   .prefill_chunk_tokens = chunk});
+    BatchedEngine engine(registry_of(session, chunk), {.total_kv_slots = 2,
+                                                       .max_pending = 64});
     EXPECT_EQ(engine.chunk_tokens(), chunk);
     std::vector<RequestId> ids;
     for (const auto& w : workloads) {
-      ids.push_back(*engine.submit(w.prompt, w.new_tokens));
+      ids.push_back(*engine.submit({.prompt = w.prompt,
+                                    .new_tokens = w.new_tokens}));
     }
     const auto results = engine.run_to_completion();
     ASSERT_EQ(results.size(), workloads.size());
@@ -698,13 +738,13 @@ TEST(BatchedEngineChunked, MixedStepConservationIsExact) {
   const Cycles stream =
       ar.report.breakdown.dma_l3_l2 * static_cast<Cycles>(cfg.num_layers);
 
-  BatchedEngine engine(session, {.max_batch = 2,
-                                 .max_pending = 8,
-                                 .prefill_chunk_tokens = 2});
+  BatchedEngine engine(registry_of(session, 2), {.total_kv_slots = 2,
+                                                 .max_pending = 8});
   std::vector<RequestId> ids;
-  ids.push_back(*engine.submit({1, 2, 3, 4}, 5));
-  ids.push_back(*engine.submit({9}, 3));
-  ids.push_back(*engine.submit({5, 6, 7}, 4));  // joins mid-serving
+  ids.push_back(*engine.submit({.prompt = {1, 2, 3, 4}, .new_tokens = 5}));
+  ids.push_back(*engine.submit({.prompt = {9}, .new_tokens = 3}));
+  // joins mid-serving
+  ids.push_back(*engine.submit({.prompt = {5, 6, 7}, .new_tokens = 4}));
   const auto results = engine.run_to_completion();
   const auto& stats = engine.stats();
   ASSERT_GT(result_for(results, ids[2]).admitted_step, 0);
@@ -740,10 +780,11 @@ TEST(BatchedEngineChunked, ChunkedPromptPhaseBeatsSerialCharging) {
   const InferenceSession session(cfg, 4);
 
   const auto run = [&](int chunk) {
-    BatchedEngine engine(session, {.max_batch = 2,
-                                   .max_pending = 16,
-                                   .prefill_chunk_tokens = chunk});
-    for (int i = 0; i < 4; ++i) (void)*engine.submit({1 + i, 2, 3}, 6);
+    BatchedEngine engine(registry_of(session, chunk), {.total_kv_slots = 2,
+                                                       .max_pending = 16});
+    for (int i = 0; i < 4; ++i) {
+      (void)*engine.submit({.prompt = {1 + i, 2, 3}, .new_tokens = 6});
+    }
     (void)engine.run_to_completion();
     return engine.stats();
   };
@@ -768,15 +809,17 @@ TEST(BatchedEngineChunked, SingleChunkStepStructureMatchesSerialMode) {
   const InferenceSession session(cfg, 4);
   const auto workloads = mixed_workloads();
 
-  BatchedEngine serial(session, {.max_batch = 2, .max_pending = 64});
-  BatchedEngine chunked(session, {.max_batch = 2,
-                                  .max_pending = 64,
-                                  .prefill_chunk_tokens = 1000});
+  BatchedEngine serial(registry_of(session), {.total_kv_slots = 2,
+                                              .max_pending = 64});
+  BatchedEngine chunked(registry_of(session, 1000), {.total_kv_slots = 2,
+                                                     .max_pending = 64});
   EXPECT_EQ(chunked.chunk_tokens(), cfg.prompt_len);
   std::vector<RequestId> sids, cids;
   for (const auto& w : workloads) {
-    sids.push_back(*serial.submit(w.prompt, w.new_tokens));
-    cids.push_back(*chunked.submit(w.prompt, w.new_tokens));
+    sids.push_back(*serial.submit({.prompt = w.prompt,
+                                   .new_tokens = w.new_tokens}));
+    cids.push_back(*chunked.submit({.prompt = w.prompt,
+                                    .new_tokens = w.new_tokens}));
   }
   const auto sres = serial.run_to_completion();
   const auto cres = chunked.run_to_completion();
@@ -796,11 +839,10 @@ TEST(BatchedEngineChunked, AdmittedAtIsOwnFirstChunkStart) {
   // own chunk's serialized position, not the step start.
   const auto cfg = small_llama();
   const InferenceSession session(cfg, 4);
-  BatchedEngine engine(session, {.max_batch = 3,
-                                 .max_pending = 8,
-                                 .prefill_chunk_tokens = cfg.prompt_len});
-  const auto a = engine.submit({1, 2}, 2);
-  const auto b = engine.submit({3, 4}, 2);
+  BatchedEngine engine(registry_of(session, cfg.prompt_len),
+      {.total_kv_slots = 3, .max_pending = 8});
+  const auto a = engine.submit({.prompt = {1, 2}, .new_tokens = 2});
+  const auto b = engine.submit({.prompt = {3, 4}, .new_tokens = 2});
   const auto results = engine.run_to_completion();
   const auto& ra = result_for(results, *a);
   const auto& rb = result_for(results, *b);
@@ -826,14 +868,14 @@ TEST(BatchedEngineChunked, ChunkedPromptFitAdmitsBatchesSerialModeCannot) {
   const InferenceSession session(cfg, 4, sys);
 
   // Full prompt shape: two KV sets do not fit next to the prefill plan.
-  EXPECT_THROW(BatchedEngine(session, {.max_batch = 2, .max_pending = 4}),
+  EXPECT_THROW(BatchedEngine(registry_of(session), {.total_kv_slots = 2,
+                                                    .max_pending = 4}),
                PlanError);
   // Chunked prompt shape: they do.
-  BatchedEngine ok(session, {.max_batch = 2,
-                             .max_pending = 4,
-                             .prefill_chunk_tokens = 8});
-  const auto a = ok.submit({1, 2, 3}, 2);
-  const auto b = ok.submit({4, 5}, 2);
+  BatchedEngine ok(registry_of(session, 8), {.total_kv_slots = 2,
+                                             .max_pending = 4});
+  const auto a = ok.submit({.prompt = {1, 2, 3}, .new_tokens = 2});
+  const auto b = ok.submit({.prompt = {4, 5}, .new_tokens = 2});
   const auto results = ok.run_to_completion();
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(result_for(results, *a).gen.tokens,
@@ -860,12 +902,12 @@ TEST(BatchedEngineChunked, ConstructsWhereFullPromptShapeCannotPlanAtAll) {
   EXPECT_THROW((void)session.run_block(model::Mode::prompt), PlanError);
   (void)session.run_block(model::Mode::autoregressive);
 
-  EXPECT_THROW(BatchedEngine(session, {.max_batch = 1, .max_pending = 4}),
+  EXPECT_THROW(BatchedEngine(registry_of(session), {.total_kv_slots = 1,
+                                                    .max_pending = 4}),
                PlanError);
-  BatchedEngine chunked(session, {.max_batch = 1,
-                                  .max_pending = 4,
-                                  .prefill_chunk_tokens = 8});
-  const auto id = chunked.submit({1, 2, 3, 4, 5}, 3);
+  BatchedEngine chunked(registry_of(session, 8), {.total_kv_slots = 1,
+                                                  .max_pending = 4});
+  const auto id = chunked.submit({.prompt = {1, 2, 3, 4, 5}, .new_tokens = 3});
   ASSERT_TRUE(id.has_value());
   const auto results = chunked.run_to_completion();
   ASSERT_EQ(results.size(), 1u);
@@ -879,9 +921,8 @@ TEST(BatchedEngineChunked, ConstructsWhereFullPromptShapeCannotPlanAtAll) {
 TEST(BatchedEngineChunked, RejectsNegativeChunkTokens) {
   const auto cfg = small_llama();
   const InferenceSession session(cfg, 2);
-  EXPECT_THROW(BatchedEngine(session, {.max_batch = 1,
-                                       .max_pending = 4,
-                                       .prefill_chunk_tokens = -1}),
+  EXPECT_THROW(BatchedEngine(registry_of(session, -1), {.total_kv_slots = 1,
+                                                        .max_pending = 4}),
                Error);
 }
 
@@ -965,9 +1006,11 @@ TEST(BatchedEngine, PoolExceedingL2BudgetThrowsPlanError) {
   sys.chip.l2_size = 80 * 1024ull;  // tight: fits a handful of KV sets
   const InferenceSession session(cfg, 4, sys);
   // A modest batch fits...
-  BatchedEngine ok(session, {.max_batch = 2, .max_pending = 4});
+  BatchedEngine ok(registry_of(session), {.total_kv_slots = 2,
+                                          .max_pending = 4});
   // ...but an absurd one must throw instead of overcommitting L2.
-  EXPECT_THROW(BatchedEngine(session, {.max_batch = 10000, .max_pending = 4}),
+  EXPECT_THROW(BatchedEngine(registry_of(session), {.total_kv_slots = 10000,
+                                                    .max_pending = 4}),
                PlanError);
 }
 
@@ -990,8 +1033,10 @@ TEST(BatchedEngine, PromptModePlanGatesThePoolToo) {
   ASSERT_LE(ar_mp.need() + ar_mp.kv_cache_bytes, ar_mp.l2_usable);
   ASSERT_GT(pr_mp.need() + pr_mp.kv_cache_bytes, pr_mp.l2_usable);
 
-  BatchedEngine ok(session, {.max_batch = 1, .max_pending = 4});
-  EXPECT_THROW(BatchedEngine(session, {.max_batch = 2, .max_pending = 4}),
+  BatchedEngine ok(registry_of(session), {.total_kv_slots = 1,
+                                          .max_pending = 4});
+  EXPECT_THROW(BatchedEngine(registry_of(session), {.total_kv_slots = 2,
+                                                    .max_pending = 4}),
                PlanError);
 }
 
@@ -1067,10 +1112,14 @@ TEST(BatchedEngine, SubmitRejectsOutOfRangeModelBeforeAnyCounter) {
   // and the queue exactly as they were.
   const auto cfg = small_llama();
   const InferenceSession session(cfg, 2);
-  BatchedEngine engine(session, {.max_batch = 1, .max_pending = 1});
-  EXPECT_THROW((void)engine.submit(/*model=*/1, {1, 2}, 1), Error);
-  EXPECT_THROW((void)engine.submit(/*model=*/-1, {1, 2}, 1), Error);
-  EXPECT_THROW((void)engine.submit(/*model=*/1000, {1, 2}, 1), Error);
+  BatchedEngine engine(registry_of(session), {.total_kv_slots = 1,
+                                              .max_pending = 1});
+  EXPECT_THROW((void)engine.submit({.model = 1, .prompt = {1, 2},
+                                    .new_tokens = 1}), Error);
+  EXPECT_THROW((void)engine.submit({.model = -1, .prompt = {1, 2},
+                                    .new_tokens = 1}), Error);
+  EXPECT_THROW((void)engine.submit({.model = 1000, .prompt = {1, 2},
+                                    .new_tokens = 1}), Error);
   EXPECT_EQ(engine.stats().rejected, 0);
   EXPECT_EQ(engine.stats().per_model[0].rejected, 0);
   EXPECT_EQ(engine.stats().per_model[0].submitted, 0);
@@ -1085,17 +1134,20 @@ TEST(BatchedEngine, SaturatingDeadlineNeverWrapsIntoAMiss) {
   // The saturating resolve pins it to the timeline's end instead.
   const auto cfg = small_llama();
   const InferenceSession session(cfg, 2);
-  BatchedEngine engine(session, {.max_batch = 1, .max_pending = 4});
+  BatchedEngine engine(registry_of(session), {.total_kv_slots = 1,
+                                              .max_pending = 4});
   const auto a = engine.submit(
-      {1, 2}, 3,
-      {.priority = 0,
-       .deadline_cycles = std::numeric_limits<Cycles>::max()});
+      {.prompt = {1, 2},
+       .new_tokens = 3,
+       .slo = {.priority = 0,
+               .deadline_cycles = std::numeric_limits<Cycles>::max()}});
   ASSERT_TRUE(a.has_value());
   (void)engine.step();  // submitted_at now nonzero for the second request
   const auto b = engine.submit(
-      {3, 4}, 3,
-      {.priority = 0,
-       .deadline_cycles = std::numeric_limits<Cycles>::max() - 1});
+      {.prompt = {3, 4},
+       .new_tokens = 3,
+       .slo = {.priority = 0,
+               .deadline_cycles = std::numeric_limits<Cycles>::max() - 1}});
   ASSERT_TRUE(b.has_value());
   const auto results = engine.run_to_completion();
   EXPECT_EQ(result_for(results, *a).deadline_at,
@@ -1113,19 +1165,22 @@ TEST(BatchedEngine, FailFastRejectsHopelessDeadlinesDistinctly) {
   const InferenceSession session(cfg, 2);
 
   // Default engine: a hopeless deadline is accepted and becomes a miss.
-  BatchedEngine lax(session, {.max_batch = 1, .max_pending = 4});
+  BatchedEngine lax(registry_of(session), {.total_kv_slots = 1,
+                                           .max_pending = 4});
   ASSERT_TRUE(
-      lax.submit({1, 2}, 2, {.priority = 0, .deadline_cycles = 1}).has_value());
+      lax.submit({.prompt = {1, 2}, .new_tokens = 2,
+                  .slo = {.priority = 0, .deadline_cycles = 1}}).has_value());
   (void)lax.run_to_completion();
   EXPECT_EQ(lax.stats().deadline_misses, 1);
 
   // Fail-fast engine: the same submit is refused up front with its own
   // rejection reason, and never counts as an SLO miss.
-  BatchedEngine strict(session, {.max_batch = 1,
-                                 .max_pending = 4,
-                                 .fail_fast_deadlines = true});
+  BatchedEngine strict(registry_of(session), {.total_kv_slots = 1,
+                                              .max_pending = 4,
+                                              .fail_fast_deadlines = true});
   EXPECT_FALSE(
-      strict.submit({1, 2}, 2, {.priority = 0, .deadline_cycles = 1})
+      strict.submit({.prompt = {1, 2}, .new_tokens = 2,
+                     .slo = {.priority = 0, .deadline_cycles = 1}})
           .has_value());
   EXPECT_EQ(strict.last_rejection(), runtime::Rejection::hopeless_deadline);
   EXPECT_EQ(strict.stats().rejected, 1);
@@ -1137,15 +1192,17 @@ TEST(BatchedEngine, FailFastRejectsHopelessDeadlinesDistinctly) {
   // A feasible deadline passes fail-fast; an accepted submit resets the
   // last-rejection readback. Queue-full rejects report their own reason.
   const auto ok = strict.submit(
-      {1, 2}, 2, {.priority = 0, .deadline_cycles = 1'000'000'000});
+      {.prompt = {1, 2}, .new_tokens = 2,
+       .slo = {.priority = 0, .deadline_cycles = 1'000'000'000}});
   ASSERT_TRUE(ok.has_value());
   EXPECT_EQ(strict.last_rejection(), runtime::Rejection::none);
   (void)strict.step();  // the accepted request takes the only KV slot
-  ASSERT_TRUE(strict.submit({3}, 1).has_value());
-  ASSERT_TRUE(strict.submit({4}, 1).has_value());
-  ASSERT_TRUE(strict.submit({5}, 1).has_value());
-  ASSERT_TRUE(strict.submit({6}, 1).has_value());  // backlog now at max_pending
-  EXPECT_FALSE(strict.submit({7}, 1).has_value());
+  ASSERT_TRUE(strict.submit({.prompt = {3}, .new_tokens = 1}).has_value());
+  ASSERT_TRUE(strict.submit({.prompt = {4}, .new_tokens = 1}).has_value());
+  ASSERT_TRUE(strict.submit({.prompt = {5}, .new_tokens = 1}).has_value());
+  // backlog now at max_pending
+  ASSERT_TRUE(strict.submit({.prompt = {6}, .new_tokens = 1}).has_value());
+  EXPECT_FALSE(strict.submit({.prompt = {7}, .new_tokens = 1}).has_value());
   EXPECT_EQ(strict.last_rejection(), runtime::Rejection::queue_full);
   EXPECT_EQ(strict.stats().rejected_queue_full, 1);
   // The reason split partitions the total.
@@ -1160,13 +1217,13 @@ TEST(BatchedEngine, SingleTenantSheddingRefusesTheNewcomer) {
   // queued is shed (tail-drop semantics).
   const auto cfg = small_llama();
   const InferenceSession session(cfg, 2);
-  BatchedEngine engine(session, {.max_batch = 1,
-                                 .max_pending = 1,
-                                 .fair_shedding = true});
-  ASSERT_TRUE(engine.submit({1, 2}, 2).has_value());
+  BatchedEngine engine(registry_of(session), {.total_kv_slots = 1,
+                                              .max_pending = 1,
+                                              .fair_shedding = true});
+  ASSERT_TRUE(engine.submit({.prompt = {1, 2}, .new_tokens = 2}).has_value());
   (void)engine.step();
-  ASSERT_TRUE(engine.submit({3, 4}, 2).has_value());
-  EXPECT_FALSE(engine.submit({5, 6}, 2).has_value());
+  ASSERT_TRUE(engine.submit({.prompt = {3, 4}, .new_tokens = 2}).has_value());
+  EXPECT_FALSE(engine.submit({.prompt = {5, 6}, .new_tokens = 2}).has_value());
   EXPECT_EQ(engine.last_rejection(), runtime::Rejection::queue_full);
   EXPECT_EQ(engine.stats().shed, 0);
   EXPECT_TRUE(engine.shed_ids().empty());
@@ -1193,19 +1250,21 @@ void expect_preemption_round_trip(int kv_page_tokens) {
   const Cycles est_b = prefill + per_req;  // prompt + (2-1) decode forwards
 
   BatchedEngine engine(
-      session,
-      {.max_batch = 1,
+      registry_of(session),
+      {.total_kv_slots = 1,
        .max_pending = 8,
        .scheduler = std::make_shared<runtime::EdfScheduler>(),
        .preemption = std::make_shared<runtime::DeadlineAwarePreemption>(),
        .kv_page_tokens = kv_page_tokens});
-  const auto a = engine.submit({1, 2}, 12);  // best-effort, long
+  // best-effort, long
+  const auto a = engine.submit({.prompt = {1, 2}, .new_tokens = 12});
   ASSERT_TRUE(a.has_value());
   EXPECT_TRUE(engine.step());  // A admitted, one decode forward in
   // B's deadline is feasible started now but blown by waiting for A's
   // ten remaining decode forwards — the preemption trigger.
   const auto b = engine.submit(
-      {3, 4}, 2, {.priority = 0, .deadline_cycles = est_b + 2 * per_req});
+      {.prompt = {3, 4}, .new_tokens = 2,
+       .slo = {.priority = 0, .deadline_cycles = est_b + 2 * per_req}});
   ASSERT_TRUE(b.has_value());
   const auto results = engine.run_to_completion();
   ASSERT_EQ(results.size(), 2u);
@@ -1280,17 +1339,17 @@ TEST(BatchedEngine, OutOfRangeVictimPickIsRejected) {
   const Cycles prefill =
       session.run_block(model::Mode::prompt).report.block_cycles * layers;
 
-  BatchedEngine engine(
-      session, {.max_batch = 1,
-                .max_pending = 8,
-                .scheduler = std::make_shared<runtime::EdfScheduler>(),
-                .preemption = std::make_shared<OutOfRangePreemption>()});
-  ASSERT_TRUE(engine.submit({1, 2}, 12).has_value());
+  BatchedEngine engine(registry_of(session),
+      {.total_kv_slots = 1, .max_pending = 8,
+       .scheduler = std::make_shared<runtime::EdfScheduler>(),
+       .preemption = std::make_shared<OutOfRangePreemption>()});
+  ASSERT_TRUE(engine.submit({.prompt = {1, 2}, .new_tokens = 12}).has_value());
   EXPECT_TRUE(engine.step());
   ASSERT_TRUE(engine
-                  .submit({3, 4}, 2,
-                          {.priority = 0,
-                           .deadline_cycles = prefill + 3 * per_req})
+                  .submit({.prompt = {3, 4},
+                           .new_tokens = 2,
+                           .slo = {.priority = 0,
+                                   .deadline_cycles = prefill + 3 * per_req}})
                   .has_value());
   EXPECT_THROW((void)engine.step(), Error);
 }
@@ -1308,13 +1367,15 @@ TEST(BatchedEngine, PagedTokensIdenticalToSlotEngine) {
   const auto workloads = mixed_workloads();
   for (const int chunk : {0, 2}) {
     for (const int page_tokens : {4, 6, 1000}) {
-      BatchedEngine engine(session, {.max_batch = 16,
-                                     .max_pending = 64,
-                                     .prefill_chunk_tokens = chunk,
-                                     .kv_page_tokens = page_tokens});
+      BatchedEngine engine(registry_of(session, chunk),
+          {.total_kv_slots = 16, .max_pending = 64,
+           .kv_page_tokens = page_tokens});
       EXPECT_EQ(engine.page_tokens(0), std::min(page_tokens, cfg.ar_context));
       std::vector<RequestId> ids;
-      for (const auto& w : workloads) ids.push_back(*engine.submit(w.prompt, w.new_tokens));
+      for (const auto& w : workloads) {
+        ids.push_back(
+            *engine.submit({.prompt = w.prompt, .new_tokens = w.new_tokens}));
+      }
       const auto results = engine.run_to_completion();
       ASSERT_EQ(results.size(), workloads.size());
       for (std::size_t i = 0; i < workloads.size(); ++i) {
@@ -1340,10 +1401,11 @@ TEST(BatchedEngine, PagedAdmitsMoreThanSlotsAtEqualKvBytes) {
   constexpr int kPageTokens = 6;
   constexpr int kPages = kSlots * 24 / kPageTokens;  // equal bytes: 8 pages
 
-  BatchedEngine slot_engine(session, {.max_batch = kSlots, .max_pending = 64});
-  BatchedEngine paged_engine(session, {.max_batch = kPages,
-                                       .max_pending = 64,
-                                       .kv_page_tokens = kPageTokens});
+  BatchedEngine slot_engine(registry_of(session), {.total_kv_slots = kSlots,
+                                                   .max_pending = 64});
+  BatchedEngine paged_engine(registry_of(session),
+      {.total_kv_slots = kPages, .max_pending = 64,
+       .kv_page_tokens = kPageTokens});
   ASSERT_EQ(slot_engine.kv_pages().pool_bytes(),
             paged_engine.kv_pages().pool_bytes());
 
@@ -1353,8 +1415,10 @@ TEST(BatchedEngine, PagedAdmitsMoreThanSlotsAtEqualKvBytes) {
   std::vector<RequestId> slot_ids;
   std::vector<RequestId> paged_ids;
   for (int i = 0; i < 6; ++i) {
-    slot_ids.push_back(*slot_engine.submit({i + 1, i + 2}, 3));
-    paged_ids.push_back(*paged_engine.submit({i + 1, i + 2}, 3));
+    slot_ids.push_back(*slot_engine.submit({.prompt = {i + 1, i + 2},
+                                            .new_tokens = 3}));
+    paged_ids.push_back(*paged_engine.submit({.prompt = {i + 1, i + 2},
+                                              .new_tokens = 3}));
   }
   const auto slot_results = slot_engine.run_to_completion();
   const auto paged_results = paged_engine.run_to_completion();
@@ -1376,14 +1440,17 @@ TEST(BatchedEngine, PagedSubmitRejectsSequenceBeyondPageCap) {
   // growth), distinct from the graceful queue-full nullopt.
   const auto cfg = small_llama();
   const InferenceSession session(cfg, 4);
-  BatchedEngine engine(session, {.max_batch = 2,  // 2 pages * 6 tokens
-                                 .max_pending = 8,
-                                 .kv_page_tokens = 6});
+  BatchedEngine engine(registry_of(session),
+                       {.total_kv_slots = 2,  // 2 pages * 6 tokens
+                        .max_pending = 8,
+                        .kv_page_tokens = 6});
   // 4 + 20 - 1 = 23 rows > 12 the cap covers, though well under the
   // model context.
-  EXPECT_THROW((void)engine.submit({1, 2, 3, 4}, 20), Error);
+  EXPECT_THROW((void)engine.submit({.prompt = {1, 2, 3, 4},
+                                    .new_tokens = 20}), Error);
   // At the cap exactly: accepted.
-  EXPECT_TRUE(engine.submit({1, 2, 3, 4}, 9).has_value());
+  EXPECT_TRUE(engine.submit({.prompt = {1, 2, 3, 4},
+                             .new_tokens = 9}).has_value());
   (void)engine.run_to_completion();
   EXPECT_EQ(engine.stats().completed, 1);
 }
@@ -1394,13 +1461,12 @@ TEST(BatchedEngine, PagedPrefixSharingAdoptsBitExact) {
   // counters fire, and a prefix ending mid-page forks copy-on-write.
   const auto cfg = small_llama();
   const InferenceSession session(cfg, 4);
-  BatchedEngine engine(session, {.max_batch = 24,
-                                 .max_pending = 16,
-                                 .prefill_chunk_tokens = 1,
-                                 .kv_page_tokens = 2,
-                                 .prefix_sharing = true});
+  BatchedEngine engine(registry_of(session, 1), {.total_kv_slots = 24,
+                                                 .max_pending = 16,
+                                                 .kv_page_tokens = 2,
+                                                 .prefix_sharing = true});
   // Donor: its full prompt registers as a shareable prefix (2 pages).
-  const auto donor = engine.submit({1, 2, 3, 4}, 3);
+  const auto donor = engine.submit({.prompt = {1, 2, 3, 4}, .new_tokens = 3});
   ASSERT_TRUE(donor.has_value());
   auto results = engine.run_to_completion();
   EXPECT_EQ(engine.prefix_cache_entries(), 1);
@@ -1412,8 +1478,8 @@ TEST(BatchedEngine, PagedPrefixSharingAdoptsBitExact) {
   // Adopter A shares 2 full prompt tokens = 1 full page; adopter B's
   // 3-token common prefix extends one row into its first private page —
   // a copy-on-write fork.
-  const auto a = engine.submit({1, 2, 9, 10}, 3);
-  const auto b = engine.submit({1, 2, 3, 11}, 3);
+  const auto a = engine.submit({.prompt = {1, 2, 9, 10}, .new_tokens = 3});
+  const auto b = engine.submit({.prompt = {1, 2, 3, 11}, .new_tokens = 3});
   ASSERT_TRUE(a.has_value() && b.has_value());
   const auto adopt_results = engine.run_to_completion();
   EXPECT_EQ(engine.stats().prefix_hits, 2);
@@ -1446,14 +1512,13 @@ TEST(BatchedEngine, PagedPrefixSharingSavesPromptCycles) {
   const InferenceSession session(cfg, 4);
   const std::vector<int> prompt{1, 2, 3, 4};
   auto serve_twice = [&](bool sharing) {
-    BatchedEngine engine(session, {.max_batch = 24,
-                                   .max_pending = 16,
-                                   .prefill_chunk_tokens = 1,
-                                   .kv_page_tokens = 2,
-                                   .prefix_sharing = sharing});
-    const auto first = engine.submit(prompt, 2);
+    BatchedEngine engine(registry_of(session, 1), {.total_kv_slots = 24,
+                                                   .max_pending = 16,
+                                                   .kv_page_tokens = 2,
+                                                   .prefix_sharing = sharing});
+    const auto first = engine.submit({.prompt = prompt, .new_tokens = 2});
     (void)engine.run_to_completion();
-    const auto second = engine.submit(prompt, 2);
+    const auto second = engine.submit({.prompt = prompt, .new_tokens = 2});
     (void)first;
     const auto results = engine.run_to_completion();
     return result_for(results, *second);
@@ -1466,11 +1531,11 @@ TEST(BatchedEngine, PagedPrefixSharingSavesPromptCycles) {
 
 TEST(BatchedEngine, PagedAccessorsAreModeChecked) {
   // Default options: one page per request spanning the whole context,
-  // and a pool of max_batch full-context KV sets — the byte budget of
+  // and a pool of total_kv_slots full-context KV sets — the byte budget of
   // the historical whole-request slot pool.
   const auto cfg = small_llama();
   const InferenceSession session(cfg, 4);
-  BatchedEngine engine(session, {.max_batch = 2});
+  BatchedEngine engine(registry_of(session), {.total_kv_slots = 2});
   EXPECT_EQ(engine.page_tokens(0), cfg.ar_context);
   EXPECT_EQ(engine.kv_pages().capacity(), 2);
   const model::KvCachePool sets(
@@ -1479,10 +1544,10 @@ TEST(BatchedEngine, PagedAccessorsAreModeChecked) {
             2 * sets.set_capacity_packed_bytes(session.kv_elem_bits()));
   EXPECT_EQ(engine.prefix_cache_pages(), 0);
   // prefix_sharing is inert at kv_page_tokens == 0: nothing registers.
-  BatchedEngine sharing(session, {.max_batch = 2,
-                                  .prefill_chunk_tokens = 2,
-                                  .prefix_sharing = true});
-  ASSERT_TRUE(sharing.submit({1, 2, 3, 4}, 2).has_value());
+  BatchedEngine sharing(registry_of(session, 2), {.total_kv_slots = 2,
+                                                  .prefix_sharing = true});
+  ASSERT_TRUE(sharing.submit({.prompt = {1, 2, 3, 4},
+                              .new_tokens = 2}).has_value());
   (void)sharing.run_to_completion();
   EXPECT_EQ(sharing.prefix_cache_entries(), 0);
   EXPECT_EQ(sharing.kv_pages().in_use(), 0);

@@ -1,16 +1,18 @@
-// Compile-and-run guard for the examples in docs/extending.md: every
-// ```cpp fence of that document appears below VERBATIM (the
-// docs-snippet-sync rule of tools/lint_domain.py enforces the byte
-// equality, modulo a uniform indent), and each custom policy is driven
-// through a real engine or router — so a documented example that stops
-// compiling, or stops doing what the prose claims, fails CI instead of
-// rotting quietly.
+// Compile-and-run guard for the examples in docs/extending.md and
+// README.md: every ```cpp fence of those documents appears below
+// VERBATIM (the docs-snippet-sync rule of tools/lint_domain.py enforces
+// the byte equality, modulo a uniform indent), and each example is
+// driven through a real engine or router — so a documented example
+// that stops compiling, or stops doing what the prose claims, fails CI
+// instead of rotting quietly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iostream>
 #include <memory>
 #include <vector>
 
+#include "analysis/deployment_analyzer.hpp"
 #include "fleet/router.hpp"
 #include "fleet/routing_policy.hpp"
 #include "model/config.hpp"
@@ -77,16 +79,16 @@ class ShortestJobFirst final : public runtime::Scheduler {
 
 // --- docs/extending.md: "Custom KvBudgetPolicy" ---
 
-/// Hand any free slot to whoever asks: maximum utilization, zero
+/// Hand any free page to whoever asks: maximum utilization, zero
 /// isolation — the opposite extreme from StaticSplitPolicy.
 class GreedyPoolPolicy final : public runtime::KvBudgetPolicy {
  public:
   [[nodiscard]] const char* name() const override { return "greedy_pool"; }
   [[nodiscard]] bool may_acquire(runtime::ModelId /*tenant*/,
                                  const std::vector<TenantView>& /*tenants*/,
-                                 int /*total_slots*/,
-                                 int free_slots) const override {
-    return free_slots > 0;
+                                 int /*total_pages*/,
+                                 int free_pages) const override {
+    return free_pages > 0;
   }
 };
 
@@ -193,16 +195,18 @@ TEST(DocSnippets, DeploymentSpecDeclaresPrecisionPerTenant) {
 
 TEST(DocSnippets, ShortestJobFirstAdmitsCheapestFirst) {
   const runtime::InferenceSession session(doc_cfg(), 4);
-  runtime::BatchedEngine engine(session, {
-      .max_batch = 1,
+  runtime::ModelRegistry registry;
+  (void)registry.add(session, "tinyllama");
+  runtime::BatchedEngine engine(registry, {
+      .total_kv_slots = 1,
       .scheduler = std::make_shared<const ShortestJobFirst>()});
   EXPECT_STREQ(engine.scheduler().name(), "sjf");
 
   // One slot, three queued jobs: SJF must serve them cheapest-first
   // (c, b, a) regardless of submit order.
-  const auto a = engine.submit({1, 2, 3}, 6, {});
-  const auto b = engine.submit({4, 5, 6}, 5, {});
-  const auto c = engine.submit({7, 8}, 1, {});
+  const auto a = engine.submit({.prompt = {1, 2, 3}, .new_tokens = 6});
+  const auto b = engine.submit({.prompt = {4, 5, 6}, .new_tokens = 5});
+  const auto c = engine.submit({.prompt = {7, 8}, .new_tokens = 1});
   ASSERT_TRUE(a && b && c);
   const auto results = engine.run_to_completion();
   ASSERT_EQ(results.size(), 3u);
@@ -225,9 +229,11 @@ TEST(DocSnippets, GreedyPoolLendsEveryIdleSlot) {
 
   // Three concurrent requests from a quota-1 tenant: a greedy pool must
   // lend both idle slots, so the high-water mark clears the quota.
-  ASSERT_TRUE(engine.submit(gen, {1, 2, 3}, 4, {}));
-  ASSERT_TRUE(engine.submit(gen, {4, 5}, 4, {}));
-  ASSERT_TRUE(engine.submit(gen, {6, 7, 8}, 4, {}));
+  ASSERT_TRUE(
+      engine.submit({.model = gen, .prompt = {1, 2, 3}, .new_tokens = 4}));
+  ASSERT_TRUE(engine.submit({.model = gen, .prompt = {4, 5}, .new_tokens = 4}));
+  ASSERT_TRUE(
+      engine.submit({.model = gen, .prompt = {6, 7, 8}, .new_tokens = 4}));
   const auto results = engine.run_to_completion();
   EXPECT_EQ(results.size(), 3u);
   const auto stats = engine.stats();
@@ -239,11 +245,14 @@ TEST(DocSnippets, GreedyPoolLendsEveryIdleSlot) {
 
 TEST(DocSnippets, BestEffortOnlyPreemptionRescuesTheDeadline) {
   const runtime::InferenceSession session(doc_cfg(), 4);
+  runtime::ModelRegistry registry;
+  (void)registry.add(session, "tinyllama");
 
   // Probe the dedicated-service cost of each job on an idle engine.
   const auto solo_cycles = [&](int prompt0, int new_tokens) {
-    runtime::BatchedEngine probe(session, {.max_batch = 1});
-    (void)*probe.submit({prompt0, 2, 3}, new_tokens, {});
+    runtime::BatchedEngine probe(registry, {.total_kv_slots = 1});
+    (void)*probe.submit(
+        {.prompt = {prompt0, 2, 3}, .new_tokens = new_tokens});
     (void)probe.run_to_completion();
     return probe.stats().total_cycles;
   };
@@ -251,20 +260,22 @@ TEST(DocSnippets, BestEffortOnlyPreemptionRescuesTheDeadline) {
   const Cycles short_cost = solo_cycles(5, 2);
   ASSERT_LT(short_cost, long_cost);
 
-  runtime::BatchedEngine engine(session, {
-      .max_batch = 1,
+  runtime::BatchedEngine engine(registry, {
+      .total_kv_slots = 1,
       .scheduler = runtime::make_scheduler(runtime::SchedulePolicy::edf),
       .preemption = std::make_shared<const BestEffortOnlyPreemption>()});
   // The best-effort long job takes the only slot and decodes to about a
   // quarter of its run; the deadline job then arrives feasible if
   // started now but infeasible after the victim's natural release.
-  const auto victim = engine.submit({1, 2, 3}, 12, {});
+  const auto victim = engine.submit({.prompt = {1, 2, 3}, .new_tokens = 12});
   ASSERT_TRUE(victim);
   while (engine.stats().total_cycles < long_cost / 4) {
     ASSERT_TRUE(engine.step());
   }
-  const auto urgent =
-      engine.submit({5, 2, 3}, 2, {.deadline_cycles = 2 * short_cost});
+  const auto urgent = engine.submit(
+      {.prompt = {5, 2, 3},
+       .new_tokens = 2,
+       .slo = {.deadline_cycles = 2 * short_cost}});
   ASSERT_TRUE(urgent);
   const auto results = engine.run_to_completion();
   ASSERT_EQ(results.size(), 2u);
@@ -315,4 +326,163 @@ TEST(DocSnippets, LeastBacklogRoutingPlacesOnTheIdleNode) {
   EXPECT_EQ(s.completed, 1);
   EXPECT_EQ(s.routed, 1u);
   EXPECT_EQ(s.misrouted, 0u);
+}
+
+// --- README.md: "Library use" ---
+
+TEST(DocSnippets, ReadmeLibraryUseServesTheDedicatedStream) {
+  // The fence's includes and using-directive are no-ops here: both
+  // headers are already included above.
+  #include "runtime/batched_engine.hpp"
+  #include "runtime/inference_session.hpp"
+
+  using namespace distmcu;
+
+  runtime::InferenceSession session(model::TransformerConfig::tiny_llama_42m(), 8);
+  auto block = session.run_block(model::Mode::autoregressive);  // paper metric
+  auto gen   = session.generate({1, 17, 42}, 16);               // one stream
+
+  runtime::ModelRegistry registry;                              // many streams
+  auto llama = registry.add(session, "tinyllama");
+  runtime::BatchedEngine engine(registry, {.total_kv_slots = 3});
+  auto id = engine.submit({.model = llama, .prompt = {1, 17, 42},
+                           .new_tokens = 16});                  // nullopt = queue full
+  auto results = engine.run_to_completion();
+
+  EXPECT_GT(block.report.block_cycles, 0u);
+  ASSERT_TRUE(id.has_value());
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].gen.tokens, gen.tokens);
+}
+
+// --- README.md: "Scheduling policies & SLOs" ---
+
+TEST(DocSnippets, ReadmeDeadlineCarriesIntoTheResult) {
+  const runtime::InferenceSession session(doc_cfg(), 4);
+  runtime::ModelRegistry registry;
+  auto llama = registry.add(session, "tinyllama", /*prefill_chunk_tokens=*/2);
+  runtime::BatchedEngine engine(registry, {
+      .total_kv_slots = 2,
+      .scheduler = runtime::make_scheduler(runtime::SchedulePolicy::edf)});
+  auto id = engine.submit(
+      {.model = llama,
+       .prompt = {1, 17, 42},
+       .new_tokens = 16,
+       .slo = {.priority = 0, .deadline_cycles = 160'000'000}});
+
+  ASSERT_TRUE(id.has_value());
+  EXPECT_EQ(engine.chunk_tokens(llama), 2);
+  const auto results = engine.run_to_completion();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].slo.deadline_cycles, Cycles{160'000'000});
+  EXPECT_EQ(results[0].gen.tokens, session.generate({1, 17, 42}, 16).tokens);
+}
+
+// --- README.md: "Preemption & overload control" ---
+
+TEST(DocSnippets, ReadmeOverloadControlsServe) {
+  const runtime::InferenceSession session(doc_cfg(), 4);
+  runtime::ModelRegistry registry;
+  (void)registry.add(session, "tinyllama");
+  runtime::BatchedEngine engine(registry, {
+      .scheduler = runtime::make_scheduler(runtime::SchedulePolicy::edf),
+      .fail_fast_deadlines = true,   // reject deadlines no schedule can meet
+      .fair_shedding = true,         // overflow drops the heaviest tenant
+      .preemption = std::make_shared<runtime::DeadlineAwarePreemption>()});
+
+  EXPECT_STREQ(engine.scheduler().name(), "edf");
+  ASSERT_TRUE(engine.submit({.prompt = {1, 2, 3}, .new_tokens = 4}));
+  EXPECT_EQ(engine.run_to_completion().size(), 1u);
+}
+
+// --- README.md: "Multi-model serving" ---
+
+TEST(DocSnippets, ReadmeMultiModelServesBothTenantsBitExact) {
+  const model::TransformerConfig llama_cfg = doc_cfg();
+  const model::TransformerConfig bert_cfg = doc_bert_cfg();
+  runtime::InferenceSession llama(llama_cfg, 4);  // any validated configs
+  runtime::InferenceSession bert(bert_cfg, 4);
+
+  runtime::ModelRegistry registry;
+  auto gen = registry.add(llama, "tinyllama", /*prefill_chunk_tokens=*/4,
+                          /*kv_quota=*/2);
+  auto cls = registry.add(bert, "mobilebert", /*prefill_chunk_tokens=*/8,
+                          /*kv_quota=*/2);
+  runtime::BatchedEngine engine(registry, {
+      .total_kv_slots = 4,
+      .scheduler = runtime::make_scheduler(runtime::SchedulePolicy::edf),
+      .kv_budget = runtime::make_kv_budget(runtime::KvBudget::watermark)});
+  auto a = engine.submit(
+      {.model = gen, .prompt = {1, 17, 42}, .new_tokens = 16});  // generation
+  auto b = engine.submit({.model = cls,                          // classification
+                          .prompt = {5, 9, 2, 8},
+                          .new_tokens = 0,                       // (prefill-only)
+                          .slo = {.deadline_cycles = 40'000'000}});
+
+  ASSERT_TRUE(a && b);
+  EXPECT_STREQ(engine.kv_budget().name(), "watermark");
+  const auto results = engine.run_to_completion();
+  ASSERT_EQ(results.size(), 2u);
+  for (const auto& r : results) {
+    if (r.id == *a) {
+      EXPECT_EQ(r.gen.tokens, llama.generate({1, 17, 42}, 16).tokens);
+    }
+    if (r.id == *b) {
+      EXPECT_EQ(r.gen.tokens, bert.generate({5, 9, 2, 8}, 0).tokens);
+    }
+  }
+}
+
+// --- README.md: "Fleet-scale serving" ---
+
+TEST(DocSnippets, ReadmeFleetPlacesTheRequest) {
+  const runtime::InferenceSession big(doc_cfg(), 4);
+  const runtime::InferenceSession small(doc_cfg(), 2);
+  runtime::ModelRegistry reg_a;
+  runtime::ModelRegistry reg_b;
+  (void)reg_a.add(big, "tinyllama");
+  (void)reg_b.add(small, "tinyllama");
+  runtime::BatchedEngine engine_a(reg_a, {.total_kv_slots = 2});
+  runtime::BatchedEngine engine_b(reg_b, {.total_kv_slots = 2});
+  fleet::Router router(fleet::make_routing_policy(
+      fleet::RoutePolicy::cost_aware));
+  router.add_node(engine_a, {.latency_cycles = 20'000,
+                             .cycles_per_byte = 0.5}, "near");
+  router.add_node(engine_b, {.latency_cycles = 400'000,
+                             .cycles_per_byte = 2.0}, "far");
+  auto id = router.submit("tinyllama", {1, 17, 42}, 16,
+                          {.deadline_cycles = 80'000'000}, /*at=*/0);
+  auto results = router.run_to_completion();
+
+  ASSERT_TRUE(id.has_value());
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(router.stats().completed, 1);
+}
+
+// --- README.md: "Static analysis" ---
+
+TEST(DocSnippets, ReadmeAnalyzerPassesACleanConfig) {
+  const runtime::InferenceSession session(doc_cfg(), 4);
+  runtime::ModelRegistry registry;
+  (void)registry.add(session, "tinyllama");
+  const runtime::BatchedEngine::MultiOptions opts{.total_kv_slots = 4};
+  // 1. Library: analyze a config (optionally against a workload).
+  analysis::Workload wl;
+  wl.requests.push_back({.model = 0, .prompt_tokens = 8, .new_tokens = 16,
+                         .deadline_cycles = 40'000'000, .count = 6});
+  auto report = analysis::DeploymentAnalyzer::analyze(registry, opts, &wl);
+  if (!report.ok()) std::cerr << report.to_text();
+
+  // 2. Strict mode: refuse an unsound deployment at construction with
+  //    structured diagnostics instead of whichever runtime throw fires
+  //    first (also catches what plain construction accepts, e.g.
+  //    DMCU-TRC-005 lane collisions).
+  try {
+    runtime::BatchedEngine engine(registry, {.total_kv_slots = 4,
+                                             .strict = true});
+  } catch (const analysis::AnalysisError& e) {
+    if (e.report().has(analysis::kMemOverflow)) { /* shrink the cap */ }
+  }
+
+  EXPECT_TRUE(report.ok()) << report.to_text();
 }

@@ -439,8 +439,8 @@ TEST(FleetServingInvariants, SingleNodeIdealLinkMatchesBareEngine) {
       }
     }
     if (!infeasible) {
-      (void)solo.submit(reg.find(job.model), job.prompt, job.new_tokens,
-                        node_slo);
+      (void)solo.submit({.model = reg.find(job.model), .prompt = job.prompt,
+                         .new_tokens = job.new_tokens, .slo = node_slo});
     }
   }
   (void)solo.run_to_completion();

@@ -23,6 +23,7 @@
 #include "runtime/kv_budget.hpp"
 #include "runtime/model_registry.hpp"
 #include "runtime/scheduler.hpp"
+#include "runtime/tenant_plan.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -164,7 +165,8 @@ std::vector<RequestResult> run_jobs(std::vector<Job>& jobs,
     bool submitted_any = false;
     for (auto& job : jobs) {
       if (job.attempted || job.submit_after_step > step_idx) continue;
-      job.id = engine.submit(job.model, job.prompt, job.new_tokens, job.slo);
+      job.id = engine.submit({.model = job.model, .prompt = job.prompt,
+                              .new_tokens = job.new_tokens, .slo = job.slo});
       job.attempted = true;
       submitted_any = true;
     }
@@ -254,41 +256,6 @@ void check_per_model_attribution(const BatchedEngine& engine,
 }
 
 }  // namespace
-
-TEST(MultiModel, SingleDeploymentRegistryBitExactWithLegacyEngine) {
-  // The multi-model engine with one registry entry is the single-model
-  // engine: identical stats, stamps, and token streams.
-  const auto& s = sessions();
-  for (const int chunk : {0, 2}) {
-    ModelRegistry reg;
-    (void)reg.add(s.gen, "gen", chunk, /*kv_quota=*/2, /*max_resident=*/2);
-    BatchedEngine multi(reg, {.total_kv_slots = 2, .max_pending = 8});
-    BatchedEngine legacy(s.gen, {.max_batch = 2,
-                                 .max_pending = 8,
-                                 .prefill_chunk_tokens = chunk});
-    for (auto* engine : {&multi, &legacy}) {
-      for (int i = 0; i < 4; ++i) {
-        ASSERT_TRUE(
-            engine->submit({1 + i, 7, 3 + i}, 4 + i).has_value());
-      }
-    }
-    const auto rm = multi.run_to_completion();
-    const auto rl = legacy.run_to_completion();
-    ASSERT_EQ(rm.size(), rl.size());
-    EXPECT_EQ(multi.stats().total_cycles, legacy.stats().total_cycles);
-    EXPECT_EQ(multi.stats().prefetch_stall_cycles,
-              legacy.stats().prefetch_stall_cycles);
-    EXPECT_EQ(multi.stats().prefill_stream_cycles,
-              legacy.stats().prefill_stream_cycles);
-    for (std::size_t i = 0; i < rm.size(); ++i) {
-      EXPECT_EQ(rm[i].gen.tokens, rl[i].gen.tokens);
-      EXPECT_EQ(rm[i].gen.total_cycles, rl[i].gen.total_cycles);
-      EXPECT_EQ(rm[i].admitted_at, rl[i].admitted_at);
-      EXPECT_EQ(rm[i].finished_at, rl[i].finished_at);
-      EXPECT_EQ(rm[i].model, 0);
-    }
-  }
-}
 
 TEST(MultiModel, PerModelAttributionExactUnderEveryScheduler) {
   // Randomized mixed workloads across chunked/serial modes and all
@@ -416,7 +383,8 @@ TEST(MultiModel, WatermarkPolicyBorrowsIdleSlotsWithinReserves) {
   EXPECT_STREQ(engine.kv_budget().name(), "watermark");
   EXPECT_EQ(engine.model_kv_cap(0), 4);  // borrowing policies cap at the arena
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(engine.submit(0, {1 + i, 2, 3}, 4).has_value());
+    ASSERT_TRUE(engine.submit({.model = 0, .prompt = {1 + i, 2, 3},
+                               .new_tokens = 4}).has_value());
   }
   (void)engine.run_to_completion();
   EXPECT_GT(engine.kv_pages().tenant_high_water(0), engine.model_kv_quota(0));
@@ -441,8 +409,10 @@ TEST(MultiModel, WatermarkTenantsThatBothMustBorrowStillDrain) {
                              .kv_page_tokens = 8});
   const std::vector<int> pa = {1, 2, 3, 4, 5, 6};
   const std::vector<int> pb = {1, 2, 3, 4};
-  ASSERT_TRUE(engine.submit(0, pa, 17).has_value());
-  ASSERT_TRUE(engine.submit(1, pb, 13).has_value());
+  ASSERT_TRUE(engine.submit({.model = 0, .prompt = pa,
+                             .new_tokens = 17}).has_value());
+  ASSERT_TRUE(engine.submit({.model = 1, .prompt = pb,
+                             .new_tokens = 13}).has_value());
   const auto results = engine.run_to_completion();
   ASSERT_EQ(results.size(), 2u);
   for (const RequestResult& r : results) {
@@ -460,8 +430,10 @@ TEST(MultiModel, ProportionalPolicyServesBothTenantsByDemand) {
                              .kv_budget = runtime::make_kv_budget(
                                  KvBudget::proportional)});
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(engine.submit(0, {1 + i, 2}, 3).has_value());
-    ASSERT_TRUE(engine.submit(1, {3 + i, 4}, 0).has_value());
+    ASSERT_TRUE(engine.submit({.model = 0, .prompt = {1 + i, 2},
+                               .new_tokens = 3}).has_value());
+    ASSERT_TRUE(engine.submit({.model = 1, .prompt = {3 + i, 4},
+                               .new_tokens = 0}).has_value());
   }
   const auto results = engine.run_to_completion();
   EXPECT_EQ(static_cast<int>(results.size()), 10);
@@ -486,11 +458,13 @@ TEST(MultiModel, EdfDeadlineOnOneModelPreemptsAdmissionOfAnother) {
                                .kv_budget = runtime::make_kv_budget(
                                    KvBudget::proportional)});
     for (int i = 0; i < 4; ++i) {
-      (void)*engine.submit(0, {1 + i, 5, 2, 8, 3, 9}, 12,
-                           {.priority = 2, .deadline_cycles = kNoDeadline});
+      (void)*engine.submit(
+          {.model = 0, .prompt = {1 + i, 5, 2, 8, 3, 9}, .new_tokens = 12,
+           .slo = {.priority = 2, .deadline_cycles = kNoDeadline}});
     }
-    (void)*engine.submit(1, {7, 4, 2}, 0,
-                         {.priority = 0, .deadline_cycles = 2'000'000});
+    (void)*engine.submit(
+        {.model = 1, .prompt = {7, 4, 2}, .new_tokens = 0,
+         .slo = {.priority = 0, .deadline_cycles = 2'000'000}});
     (void)engine.run_to_completion();
     return engine.stats();
   };
@@ -507,10 +481,14 @@ TEST(MultiModel, SubmitValidatesPerModelShapes) {
   // Model 1's prompt_len is 8; model 0's is 6 — the longer prompt is
   // valid only against model 1.
   const std::vector<int> long_prompt{1, 2, 3, 4, 5, 6, 7};
-  EXPECT_THROW((void)engine.submit(0, long_prompt, 1), Error);
-  EXPECT_TRUE(engine.submit(1, long_prompt, 1).has_value());
-  EXPECT_THROW((void)engine.submit(2, {1}, 1), Error);
-  EXPECT_THROW((void)engine.submit(-1, {1}, 1), Error);
+  EXPECT_THROW((void)engine.submit({.model = 0, .prompt = long_prompt,
+                                    .new_tokens = 1}), Error);
+  EXPECT_TRUE(engine.submit({.model = 1, .prompt = long_prompt,
+                             .new_tokens = 1}).has_value());
+  EXPECT_THROW((void)engine.submit({.model = 2, .prompt = {1},
+                                    .new_tokens = 1}), Error);
+  EXPECT_THROW((void)engine.submit({.model = -1, .prompt = {1},
+                                    .new_tokens = 1}), Error);
 }
 
 TEST(MultiModel, RegistryValidation) {
@@ -580,6 +558,53 @@ TEST(KvBudgetPolicy, WatermarkProtectsUnmetReservesOfDemandingTenants) {
   EXPECT_FALSE(strict.may_acquire(0, views2(2, 3, 2, 0, 2, 2, 6), 6, 4));
 }
 
+TEST(KvShares, EveryUnfaultedShareHoldsAtLeastOnePage) {
+  // derive_kv_shares has exactly two faults; whenever neither fires,
+  // every tenant must get a quota of at least one page and a cap inside
+  // the arena (within its quota when the policy never borrows). Random
+  // registries mix explicit and unset quotas and caps, total pages and
+  // borrowing on and off.
+  const std::uint64_t kSeeds = distmcu::testing::invariant_seed_count(2000);
+  util::Rng rng(0x6b76u);
+  int clean = 0;
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    const int total = static_cast<int>(rng.next_below(13));
+    const bool borrowing = rng.next_below(2) == 1;
+    std::vector<runtime::ModelDeployment> entries(1 + rng.next_below(5));
+    int explicit_sum = 0;
+    int unset = 0;
+    for (auto& e : entries) {
+      e.kv_quota = static_cast<int>(rng.next_below(5));  // 0 = unset
+      e.max_resident = static_cast<int>(rng.next_below(8));  // 0 = derived
+      explicit_sum += e.kv_quota;
+      unset += e.kv_quota == 0 ? 1 : 0;
+    }
+    const runtime::KvShares kv =
+        runtime::derive_kv_shares(entries, total, borrowing);
+    if (explicit_sum > total) {
+      EXPECT_EQ(kv.fault, runtime::KvShares::Fault::oversubscribed);
+      continue;
+    }
+    if (unset > total - explicit_sum) {
+      EXPECT_EQ(kv.fault, runtime::KvShares::Fault::no_reserve);
+      continue;
+    }
+    ASSERT_EQ(kv.fault, runtime::KvShares::Fault::none) << "seed " << seed;
+    ASSERT_EQ(kv.shares.size(), entries.size()) << "seed " << seed;
+    for (const runtime::KvShare& share : kv.shares) {
+      EXPECT_GE(share.quota, 1) << "seed " << seed;
+      EXPECT_GE(share.cap, 1) << "seed " << seed;
+      EXPECT_LE(share.cap, total) << "seed " << seed;
+      if (!borrowing) {
+        EXPECT_LE(share.cap, share.quota) << "seed " << seed;
+      }
+    }
+    ++clean;
+  }
+  // The sweep must actually reach the unfaulted derivation.
+  EXPECT_GT(clean, static_cast<int>(kSeeds / 10));
+}
+
 // --- overload controls across tenants --------------------------------------
 
 namespace {
@@ -604,14 +629,16 @@ TEST(MultiModelServing, FairSheddingDropsTheHeaviestTenantsNewest) {
   // backlog — the queue bound is now exactly reached.
   std::vector<RequestId> gen_ids;
   for (int i = 0; i < 4; ++i) {
-    const auto id = engine.submit(0, {1, 2, 3}, 2);
+    const auto id = engine.submit({.model = 0, .prompt = {1, 2, 3},
+                                   .new_tokens = 2});
     ASSERT_TRUE(id.has_value());
     gen_ids.push_back(*id);
   }
 
   // An encoder submit on the full queue sheds the generator tenant's
   // newest queued request instead of bouncing the newcomer.
-  const auto enc_id = engine.submit(1, {4, 5, 6, 7}, 0);
+  const auto enc_id = engine.submit({.model = 1, .prompt = {4, 5, 6, 7},
+                                     .new_tokens = 0});
   ASSERT_TRUE(enc_id.has_value());
   EXPECT_EQ(engine.last_rejection(), runtime::Rejection::none);
   ASSERT_EQ(engine.shed_ids().size(), 1u);
@@ -623,7 +650,8 @@ TEST(MultiModelServing, FairSheddingDropsTheHeaviestTenantsNewest) {
   // The reverse direction: the generator tenant is itself the heaviest,
   // so its next submit is refused queue_full — fairness never churns
   // another tenant out for the aggressor.
-  EXPECT_FALSE(engine.submit(0, {9}, 1).has_value());
+  EXPECT_FALSE(engine.submit({.model = 0, .prompt = {9},
+                              .new_tokens = 1}).has_value());
   EXPECT_EQ(engine.last_rejection(), runtime::Rejection::queue_full);
   EXPECT_EQ(engine.stats().shed, 1);
   EXPECT_EQ(engine.stats().rejected_queue_full, 1);
@@ -655,8 +683,10 @@ TEST(MultiModelServing, PreemptionReclaimsBorrowedSlotAcrossModels) {
        .kv_budget = runtime::make_kv_budget(KvBudget::watermark),
        .preemption = std::make_shared<runtime::DeadlineAwarePreemption>()});
 
-  const auto a = engine.submit(0, {1, 2, 3}, 10);
-  const auto b = engine.submit(0, {4, 5, 6}, 10);
+  const auto a = engine.submit({.model = 0, .prompt = {1, 2, 3},
+                                .new_tokens = 10});
+  const auto b = engine.submit({.model = 0, .prompt = {4, 5, 6},
+                                .new_tokens = 10});
   ASSERT_TRUE(a.has_value() && b.has_value());
   EXPECT_TRUE(engine.step());  // both admitted: quota slot + borrowed slot
 
@@ -671,8 +701,8 @@ TEST(MultiModelServing, PreemptionReclaimsBorrowedSlotAcrossModels) {
 
   // Feasible if admitted promptly, lost if it waits out a generator.
   const auto c = engine.submit(
-      1, {7, 8, 9, 10}, 0,
-      {.priority = 0, .deadline_cycles = enc_prefill + gen_per_req});
+      {.model = 1, .prompt = {7, 8, 9, 10}, .new_tokens = 0,
+       .slo = {.priority = 0, .deadline_cycles = enc_prefill + gen_per_req}});
   ASSERT_TRUE(c.has_value());
 
   while (engine.step()) {}

@@ -25,6 +25,7 @@
 #include "noc/topology.hpp"
 #include "partition/plan.hpp"
 #include "partition/sharder.hpp"
+#include "registry_of.hpp"
 #include "runtime/batched_engine.hpp"
 #include "runtime/deployment_spec.hpp"
 #include "runtime/inference_session.hpp"
@@ -35,6 +36,7 @@
 
 using namespace distmcu;
 using distmcu::testing::invariant_seed_count;
+using distmcu::testing::registry_of;
 using distmcu::testing::SeedReproLog;
 using runtime::BatchedEngine;
 using runtime::DeploymentSpec;
@@ -101,7 +103,7 @@ std::vector<Job> random_jobs(util::Rng& rng, int vocab) {
 /// submit order.
 std::vector<std::vector<int>> serve(const InferenceSession& session,
                                     const std::vector<Job>& jobs) {
-  BatchedEngine engine(session, {.max_batch = 2});
+  BatchedEngine engine(registry_of(session), {.total_kv_slots = 2});
   std::vector<runtime::RequestId> ids;
   for (const auto& j : jobs) {
     auto id = engine.submit({.prompt = j.prompt, .new_tokens = j.new_tokens});
@@ -309,47 +311,6 @@ TEST(DeploymentSpecQuant, RegistryOwnedSessionOutlivesRegistry) {
   const auto results = engine->run_to_completion();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].gen.tokens, solo.generate({4, 8, 15}, 5).tokens);
-}
-
-TEST(SubmitRequestQuant, LegacyOverloadsForwardToTheRequestSurface) {
-  // The positional overloads are shims over submit(Request): identical
-  // ids, streams, and stats either way.
-  const DeploymentSpec spec = int8_spec(2, /*flat_topology=*/false);
-  const InferenceSession session(spec);
-  const std::vector<int> prompt = {2, 4, 6, 8};
-
-  BatchedEngine via_request(session, {.max_batch = 2});
-  BatchedEngine via_legacy(session, {.max_batch = 2});
-  auto a1 = via_request.submit({.prompt = prompt, .new_tokens = 4});
-  auto a2 = via_request.submit(
-      {.prompt = prompt, .new_tokens = 2, .slo = {.deadline_cycles = 1}});
-  auto b1 = via_legacy.submit(prompt, 4, {});
-  auto b2 = via_legacy.submit(prompt, 2, {.deadline_cycles = 1});
-  ASSERT_TRUE(a1 && b1);
-  EXPECT_EQ(*a1, *b1);
-  EXPECT_EQ(a2.has_value(), b2.has_value());
-  const auto ra = via_request.run_to_completion();
-  const auto rb = via_legacy.run_to_completion();
-  ASSERT_EQ(ra.size(), rb.size());
-  for (std::size_t i = 0; i < ra.size(); ++i) {
-    EXPECT_EQ(ra[i].id, rb[i].id);
-    EXPECT_EQ(ra[i].gen.tokens, rb[i].gen.tokens);
-  }
-  EXPECT_EQ(via_request.stats().total_cycles, via_legacy.stats().total_cycles);
-
-  // The ModelId-first overload forwards identically.
-  ModelRegistry reg;
-  const auto m = reg.add(spec);
-  BatchedEngine multi(reg, {.total_kv_slots = 2});
-  auto c1 = multi.submit(m, prompt, 4, {});
-  ASSERT_TRUE(c1.has_value());
-  const auto rc = multi.run_to_completion();
-  ASSERT_EQ(rc.size(), 1u);
-  for (const auto& r : ra) {
-    if (r.id == *a1) {
-      EXPECT_EQ(rc[0].gen.tokens, r.gen.tokens);
-    }
-  }
 }
 
 TEST(QuantFfnOwnershipQuant, ValueSemanticsSurviveTheSourceObjects) {

@@ -8,12 +8,14 @@
 #include <memory>
 #include <vector>
 
+#include "registry_of.hpp"
 #include "runtime/batched_engine.hpp"
 #include "runtime/inference_session.hpp"
 #include "runtime/scheduler.hpp"
 #include "util/check.hpp"
 
 using namespace distmcu;
+using distmcu::testing::registry_of;
 using runtime::EdfScheduler;
 using runtime::FifoScheduler;
 using runtime::kNoDeadline;
@@ -167,10 +169,12 @@ class OutOfRangeScheduler final : public Scheduler {
 TEST(SchedulerPluggability, CustomPolicyControlsAdmissionOrder) {
   const runtime::InferenceSession session(sched_cfg(), 2);
   runtime::BatchedEngine engine(
-      session, {.max_batch = 1,
-                .max_pending = 8,
-                .scheduler = std::make_shared<LifoScheduler>()});
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(engine.submit({1 + i, 2}, 2));
+      registry_of(session), {.total_kv_slots = 1,
+                             .max_pending = 8,
+                             .scheduler = std::make_shared<LifoScheduler>()});
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(engine.submit({.prompt = {1 + i, 2}, .new_tokens = 2}));
+  }
   const auto results = engine.run_to_completion();
   ASSERT_EQ(results.size(), 3u);
   // Single slot: completion order IS admission order, and LIFO admits
@@ -183,17 +187,17 @@ TEST(SchedulerPluggability, CustomPolicyControlsAdmissionOrder) {
 
 TEST(SchedulerPluggability, OutOfRangePickIsRejected) {
   const runtime::InferenceSession session(sched_cfg(), 2);
-  runtime::BatchedEngine engine(
-      session, {.max_batch = 1,
-                .max_pending = 8,
-                .scheduler = std::make_shared<OutOfRangeScheduler>()});
-  ASSERT_TRUE(engine.submit({1, 2}, 1));
+  runtime::BatchedEngine engine(registry_of(session),
+      {.total_kv_slots = 1, .max_pending = 8,
+       .scheduler = std::make_shared<OutOfRangeScheduler>()});
+  ASSERT_TRUE(engine.submit({.prompt = {1, 2}, .new_tokens = 1}));
   EXPECT_THROW((void)engine.step(), Error);
 }
 
 TEST(SchedulerPluggability, NullSchedulerOptionMeansFifo) {
   const runtime::InferenceSession session(sched_cfg(), 2);
-  runtime::BatchedEngine engine(session, {.max_batch = 1, .max_pending = 8});
+  runtime::BatchedEngine engine(registry_of(session), {.total_kv_slots = 1,
+                                                       .max_pending = 8});
   EXPECT_STREQ(engine.scheduler().name(), "fifo");
 }
 

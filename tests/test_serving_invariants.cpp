@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "invariant_env.hpp"
+#include "registry_of.hpp"
 #include "runtime/batched_engine.hpp"
 #include "runtime/inference_session.hpp"
 #include "runtime/scheduler.hpp"
@@ -46,6 +47,7 @@ using runtime::SloSpec;
 namespace {
 
 using distmcu::testing::invariant_seed_count;
+using distmcu::testing::registry_of;
 using distmcu::testing::SeedReproLog;
 
 /// One shared deployment the randomized scenarios draw from, with its
@@ -109,7 +111,8 @@ const std::vector<Deployment>& deployments() {
 
 struct Scenario {
   int deployment = 0;
-  BatchedEngine::Options opts;
+  BatchedEngine::MultiOptions opts;
+  int chunk = 0;  // the deployment's prefill_chunk_tokens
   struct Job {
     std::vector<int> prompt;
     int new_tokens = 0;
@@ -128,12 +131,11 @@ Scenario make_scenario(std::uint64_t seed) {
   const auto& dep = deployments()[static_cast<std::size_t>(sc.deployment)];
   const auto& cfg = dep.session->config();
 
-  sc.opts.max_batch = 1 + static_cast<int>(rng.next_below(4));
+  sc.opts.total_kv_slots = 1 + static_cast<int>(rng.next_below(4));
   sc.opts.max_pending = static_cast<int>(rng.next_below(10));
   // Chunk sizes sweep disabled (0), tiny, mid, and whole-prompt.
   const int chunk_choices[] = {0, 1, 2, 3, cfg.prompt_len, cfg.prompt_len + 7};
-  sc.opts.prefill_chunk_tokens =
-      chunk_choices[rng.next_below(std::size(chunk_choices))];
+  sc.chunk = chunk_choices[rng.next_below(std::size(chunk_choices))];
 
   const int n_jobs =
       (dep.cheap_numerics ? 3 : 2) + static_cast<int>(rng.next_below(5));
@@ -177,7 +179,8 @@ std::vector<RequestResult> run_scenario(Scenario& sc, BatchedEngine& engine) {
     bool submitted_any = false;
     for (auto& job : sc.jobs) {
       if (job.attempted || job.submit_after_step > step_idx) continue;
-      job.id = engine.submit(job.prompt, job.new_tokens, job.slo);
+      job.id = engine.submit({.prompt = job.prompt,
+                              .new_tokens = job.new_tokens, .slo = job.slo});
       job.attempted = true;
       submitted_any = true;
     }
@@ -218,7 +221,7 @@ void check_invariants(const Scenario& sc, const BatchedEngine& engine,
   EXPECT_EQ(stats.rejected, static_cast<int>(sc.jobs.size()) - accepted);
   EXPECT_EQ(engine.active_requests(), 0);
   EXPECT_EQ(engine.pending_requests(), 0);
-  EXPECT_LE(stats.peak_batch, sc.opts.max_batch);
+  EXPECT_LE(stats.peak_batch, sc.opts.total_kv_slots);
 
   // Conservation: per-request compute + stall shares sum EXACTLY to the
   // aggregate cycles; energy sums match; token counts match.
@@ -319,7 +322,7 @@ TEST(ServingInvariants, RandomizedScenariosHoldConservation) {
     repro.begin();
     Scenario sc = make_scenario(seed);
     const auto& dep = deployments()[static_cast<std::size_t>(sc.deployment)];
-    BatchedEngine engine(*dep.session, sc.opts);
+    BatchedEngine engine(registry_of(*dep.session, sc.chunk), sc.opts);
     const auto results = run_scenario(sc, engine);
     check_invariants(sc, engine, results, seed);
     repro.end(seed);
@@ -334,7 +337,7 @@ TEST(ServingInvariants, RandomizedTokenStreamsMatchDedicatedGenerate) {
     Scenario sc = make_scenario(seed);
     const auto& dep = deployments()[static_cast<std::size_t>(sc.deployment)];
     if (!dep.cheap_numerics) continue;
-    BatchedEngine engine(*dep.session, sc.opts);
+    BatchedEngine engine(registry_of(*dep.session, sc.chunk), sc.opts);
     const auto results = run_scenario(sc, engine);
     for (const auto& job : sc.jobs) {
       if (!job.id.has_value()) continue;
@@ -352,8 +355,8 @@ TEST(ServingInvariants, ScenariosAreDeterministic) {
     Scenario a = make_scenario(seed);
     Scenario b = make_scenario(seed);
     const auto& dep = deployments()[static_cast<std::size_t>(a.deployment)];
-    BatchedEngine ea(*dep.session, a.opts);
-    BatchedEngine eb(*dep.session, b.opts);
+    BatchedEngine ea(registry_of(*dep.session, a.chunk), a.opts);
+    BatchedEngine eb(registry_of(*dep.session, b.chunk), b.opts);
     const auto ra = run_scenario(a, ea);
     const auto rb = run_scenario(b, eb);
     ASSERT_EQ(ra.size(), rb.size());
@@ -388,7 +391,7 @@ TEST(ServingInvariants, RandomizedSloScenariosHoldConservationUnderEveryPolicy) 
       decorate_slo(sc, seed);
       sc.opts.scheduler = runtime::make_scheduler(policy);
       const auto& dep = deployments()[static_cast<std::size_t>(sc.deployment)];
-      BatchedEngine engine(*dep.session, sc.opts);
+      BatchedEngine engine(registry_of(*dep.session, sc.chunk), sc.opts);
       const auto results = run_scenario(sc, engine);
       SCOPED_TRACE(std::string("policy ") + runtime::policy_name(policy));
       check_invariants(sc, engine, results, seed,
@@ -409,8 +412,8 @@ TEST(ServingInvariants, FifoSchedulerBitExactWithDefaultEngine) {
     decorate_slo(sb, seed);
     sb.opts.scheduler = std::make_shared<runtime::FifoScheduler>();
     const auto& dep = deployments()[static_cast<std::size_t>(sa.deployment)];
-    BatchedEngine ea(*dep.session, sa.opts);
-    BatchedEngine eb(*dep.session, sb.opts);
+    BatchedEngine ea(registry_of(*dep.session, sa.chunk), sa.opts);
+    BatchedEngine eb(registry_of(*dep.session, sb.chunk), sb.opts);
     const auto ra = run_scenario(sa, ea);
     const auto rb = run_scenario(sb, eb);
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -440,20 +443,24 @@ TEST(ServingInvariants, PriorityAgingPreventsStarvation) {
 
   const auto run = [&](Cycles aging_cycles) {
     BatchedEngine engine(
-        *dep.session,
-        {.max_batch = 1,
+        registry_of(*dep.session),
+        {.total_kv_slots = 1,
          .max_pending = 64,
          .scheduler = std::make_shared<runtime::PriorityScheduler>(
              runtime::PriorityScheduler::Options{.aging_cycles = aging_cycles})});
     // Submitted first, least urgent class.
-    const auto low = *engine.submit({5, 3}, 2, {.priority = 5});
+    const auto low = *engine.submit({.prompt = {5, 3}, .new_tokens = 2,
+                                     .slo = {.priority = 5}});
     std::vector<RequestId> high;
-    (void)*engine.submit({1, 2}, 2, {.priority = 0});
+    (void)*engine.submit({.prompt = {1, 2}, .new_tokens = 2,
+                          .slo = {.priority = 0}});
     int arrivals = 1;
     bool work = true;
     while (work || arrivals < kHighPrioJobs) {
       if (arrivals < kHighPrioJobs) {
-        high.push_back(*engine.submit({1 + arrivals, 2}, 2, {.priority = 0}));
+        high.push_back(*engine.submit({.prompt = {1 + arrivals, 2},
+                                       .new_tokens = 2,
+                                       .slo = {.priority = 0}}));
         ++arrivals;
       }
       work = engine.step();
@@ -526,12 +533,14 @@ TEST(ServingInvariants, EdfMeetsFeasibleDeadlinesAndNeverExceedsFifoMisses) {
       std::swap(perm[i - 1], perm[rng.next_below(i)]);
     }
 
-    const BatchedEngine::Options opts{.max_batch = 1, .max_pending = 64};
+    const BatchedEngine::MultiOptions opts{.total_kv_slots = 1,
+                                           .max_pending = 64};
     {
-      BatchedEngine probe(*dep.session, opts);
+      BatchedEngine probe(registry_of(*dep.session), opts);
       std::vector<RequestId> ids;
       for (const std::size_t j : perm) {
-        ids.push_back(*probe.submit(jobs[j].prompt, jobs[j].new_tokens));
+        ids.push_back(*probe.submit({.prompt = jobs[j].prompt,
+                                     .new_tokens = jobs[j].new_tokens}));
       }
       const auto finished = probe.run_to_completion();
       for (std::size_t k = 0; k < perm.size(); ++k) {
@@ -543,10 +552,11 @@ TEST(ServingInvariants, EdfMeetsFeasibleDeadlinesAndNeverExceedsFifoMisses) {
     const auto run_policy = [&](SchedulePolicy policy) {
       auto o = opts;
       o.scheduler = runtime::make_scheduler(policy);
-      BatchedEngine engine(*dep.session, o);
+      BatchedEngine engine(registry_of(*dep.session), o);
       for (const auto& job : jobs) {
-        (void)*engine.submit(job.prompt, job.new_tokens,
-                             {.priority = 0, .deadline_cycles = job.deadline});
+        (void)*engine.submit(
+            {.prompt = job.prompt, .new_tokens = job.new_tokens,
+             .slo = {.priority = 0, .deadline_cycles = job.deadline}});
       }
       (void)engine.run_to_completion();
       return engine.stats().deadline_misses;
@@ -586,7 +596,7 @@ TEST(ServingInvariants, OverloadScenariosConserveEveryRequest) {
       sc.opts.fair_shedding = true;
       sc.opts.fail_fast_deadlines = (seed % 2) == 0;
       const auto& dep = deployments()[static_cast<std::size_t>(sc.deployment)];
-      BatchedEngine engine(*dep.session, sc.opts);
+      BatchedEngine engine(registry_of(*dep.session, sc.chunk), sc.opts);
       const auto results = run_scenario(sc, engine);
       const ServingStats& stats = engine.stats();
 
@@ -649,7 +659,7 @@ TEST(ServingInvariants, PreemptionKeepsEveryInvariantUnderEveryPolicy) {
       sc.opts.scheduler = runtime::make_scheduler(policy);
       sc.opts.preemption = std::make_shared<runtime::DeadlineAwarePreemption>();
       const auto& dep = deployments()[static_cast<std::size_t>(sc.deployment)];
-      BatchedEngine engine(*dep.session, sc.opts);
+      BatchedEngine engine(registry_of(*dep.session, sc.chunk), sc.opts);
       const auto results = run_scenario(sc, engine);
       SCOPED_TRACE(std::string("policy ") + runtime::policy_name(policy));
       check_invariants(sc, engine, results, seed, /*fifo_admission=*/false);
@@ -681,8 +691,10 @@ TEST(ServingCrossCheck, SerialModeSingleRequestMatchesSessionAndSteadyState) {
 
   const std::vector<int> prompt{3, 1, 4, 1};
   const int steps = 5;
-  BatchedEngine engine(session, {.max_batch = 1, .max_pending = 4});
-  ASSERT_TRUE(engine.submit(prompt, steps).has_value());
+  BatchedEngine engine(registry_of(session), {.total_kv_slots = 1,
+                                              .max_pending = 4});
+  ASSERT_TRUE(engine.submit({.prompt = prompt,
+                             .new_tokens = steps}).has_value());
   const auto results = engine.run_to_completion();
   const auto solo = session.generate(prompt, steps);
   ASSERT_EQ(results.size(), 1u);
@@ -713,8 +725,10 @@ TEST(ServingCrossCheck, SerialModeStreamedDeploymentReconstructsSerialModel) {
 
   const std::vector<int> prompt{2, 4, 6};
   const int steps = 6;
-  BatchedEngine engine(session, {.max_batch = 1, .max_pending = 4});
-  ASSERT_TRUE(engine.submit(prompt, steps).has_value());
+  BatchedEngine engine(registry_of(session), {.total_kv_slots = 1,
+                                              .max_pending = 4});
+  ASSERT_TRUE(engine.submit({.prompt = prompt,
+                             .new_tokens = steps}).has_value());
   (void)engine.run_to_completion();
   const auto solo = session.generate(prompt, steps);
   EXPECT_EQ(engine.stats().total_cycles + engine.stats().stream_cycles_hidden,
@@ -741,14 +755,14 @@ int pick_page_tokens(int ar_context, std::uint64_t pick) {
   return choices[pick % std::size(choices)];
 }
 
-/// Rewrite a slot scenario as its equal-KV-bytes paged twin: max_batch
+/// Rewrite a slot scenario as its equal-KV-bytes paged twin: total_kv_slots
 /// switches from whole-request slots to the same bytes' worth of pages.
 void make_paged(Scenario& sc, std::uint64_t seed, bool sharing) {
   const auto& dep = deployments()[static_cast<std::size_t>(sc.deployment)];
   const int ctx = dep.session->config().ar_context;
   const int pt = pick_page_tokens(ctx, seed);
   sc.opts.kv_page_tokens = pt;
-  sc.opts.max_batch = sc.opts.max_batch * (ctx / pt);
+  sc.opts.total_kv_slots = sc.opts.total_kv_slots * (ctx / pt);
   sc.opts.prefix_sharing = sharing;
 }
 
@@ -769,7 +783,7 @@ TEST(ServingInvariants, PagedRandomizedScenariosConservePages) {
     Scenario sc = make_scenario(seed);
     make_paged(sc, seed, sharing);
     const auto& dep = deployments()[static_cast<std::size_t>(sc.deployment)];
-    BatchedEngine engine(*dep.session, sc.opts);
+    BatchedEngine engine(registry_of(*dep.session, sc.chunk), sc.opts);
     const auto& pages = engine.kv_pages();
 
     // Stepped run with per-boundary arena checks (run_scenario's loop,
@@ -780,7 +794,8 @@ TEST(ServingInvariants, PagedRandomizedScenariosConservePages) {
       bool submitted_any = false;
       for (auto& job : sc.jobs) {
         if (job.attempted || job.submit_after_step > step_idx) continue;
-        job.id = engine.submit(job.prompt, job.new_tokens, job.slo);
+        job.id = engine.submit({.prompt = job.prompt,
+                                .new_tokens = job.new_tokens, .slo = job.slo});
         job.attempted = true;
         submitted_any = true;
       }
@@ -827,7 +842,7 @@ TEST(ServingInvariants, PagedStreamsIdenticalAcrossSharingAndSlotMode) {
     for (const int variant : {0, 1, 2}) {
       Scenario sc = make_scenario(seed);
       if (variant > 0) make_paged(sc, seed, /*sharing=*/variant == 2);
-      BatchedEngine engine(*dep.session, sc.opts);
+      BatchedEngine engine(registry_of(*dep.session, sc.chunk), sc.opts);
       const auto results = run_scenario(sc, engine);
       for (const auto& job : sc.jobs) {
         if (!job.id.has_value()) continue;
@@ -858,7 +873,7 @@ TEST(ServingInvariants, PagedPreemptionConservesPagesUnderEveryPolicy) {
       sc.opts.scheduler = runtime::make_scheduler(policy);
       sc.opts.preemption = std::make_shared<runtime::DeadlineAwarePreemption>();
       const auto& dep = deployments()[static_cast<std::size_t>(sc.deployment)];
-      BatchedEngine engine(*dep.session, sc.opts);
+      BatchedEngine engine(registry_of(*dep.session, sc.chunk), sc.opts);
       const auto results = run_scenario(sc, engine);
       SCOPED_TRACE(std::string("policy ") + runtime::policy_name(policy));
       check_invariants(sc, engine, results, seed, /*fifo_admission=*/false);

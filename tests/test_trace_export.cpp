@@ -17,6 +17,7 @@
 
 #include "model/config.hpp"
 #include "partition/plan.hpp"
+#include "registry_of.hpp"
 #include "runtime/batched_engine.hpp"
 #include "runtime/inference_session.hpp"
 #include "runtime/model_registry.hpp"
@@ -25,6 +26,7 @@
 #include "sim/tracer.hpp"
 
 using namespace distmcu;
+using distmcu::testing::registry_of;
 
 namespace {
 
@@ -190,11 +192,11 @@ TEST(TraceExportGolden, ServingTraceSerialMode) {
   const auto cfg = trace_cfg();
   const runtime::InferenceSession session(cfg, 4);
   sim::Tracer tracer;
-  runtime::BatchedEngine engine(session, {.max_batch = 2, .max_pending = 8},
-                                &tracer);
-  (void)*engine.submit({1, 2, 3}, 5);
-  (void)*engine.submit({7}, 3);
-  (void)*engine.submit({4, 5}, 2);
+  runtime::BatchedEngine engine(registry_of(session),
+      {.total_kv_slots = 2, .max_pending = 8}, &tracer);
+  (void)*engine.submit({.prompt = {1, 2, 3}, .new_tokens = 5});
+  (void)*engine.submit({.prompt = {7}, .new_tokens = 3});
+  (void)*engine.submit({.prompt = {4, 5}, .new_tokens = 2});
   (void)engine.run_to_completion();
 
   const auto events = parse_trace(export_trace(tracer));
@@ -209,11 +211,11 @@ TEST(TraceExportGolden, ServingTraceChunkedMode) {
   const runtime::InferenceSession session(cfg, 4);
   sim::Tracer tracer;
   runtime::BatchedEngine engine(
-      session, {.max_batch = 2, .max_pending = 8, .prefill_chunk_tokens = 2},
+      registry_of(session, 2), {.total_kv_slots = 2, .max_pending = 8},
       &tracer);
-  (void)*engine.submit({1, 2, 3, 4, 5}, 4);
-  (void)*engine.submit({7}, 5);
-  (void)*engine.submit({4, 5, 6}, 0);
+  (void)*engine.submit({.prompt = {1, 2, 3, 4, 5}, .new_tokens = 4});
+  (void)*engine.submit({.prompt = {7}, .new_tokens = 5});
+  (void)*engine.submit({.prompt = {4, 5, 6}, .new_tokens = 0});
   (void)engine.run_to_completion();
 
   const auto events = parse_trace(export_trace(tracer));
@@ -246,16 +248,18 @@ TEST(TraceExportGolden, ServingTraceCarriesSchedulerLaneSpans) {
   const runtime::InferenceSession session(cfg, 4);
   sim::Tracer tracer;
   runtime::BatchedEngine engine(
-      session, {.max_batch = 1,
-                .max_pending = 8,
-                .prefill_chunk_tokens = 2,
-                .scheduler = runtime::make_scheduler(runtime::SchedulePolicy::edf)},
+      registry_of(session, 2),
+      {.total_kv_slots = 1,
+       .max_pending = 8,
+       .scheduler = runtime::make_scheduler(runtime::SchedulePolicy::edf)},
       &tracer);
   // The long best-effort job is admitted... after the deadline job under
   // EDF; the hopeless 1-cycle deadline guarantees a miss marker.
-  (void)*engine.submit({1, 2, 3}, 6,
-                       {.priority = 1, .deadline_cycles = runtime::kNoDeadline});
-  (void)*engine.submit({7}, 2, {.priority = 0, .deadline_cycles = 1});
+  (void)*engine.submit(
+      {.prompt = {1, 2, 3}, .new_tokens = 6,
+       .slo = {.priority = 1, .deadline_cycles = runtime::kNoDeadline}});
+  (void)*engine.submit({.prompt = {7}, .new_tokens = 2,
+                        .slo = {.priority = 0, .deadline_cycles = 1}});
   (void)engine.run_to_completion();
   ASSERT_GT(engine.stats().deadline_misses, 0);
 
@@ -328,18 +332,19 @@ TEST(TraceExportGolden, ServingTraceCarriesEvictResumeSpans) {
 
   sim::Tracer tracer;
   runtime::BatchedEngine engine(
-      session,
-      {.max_batch = 1,
+      registry_of(session),
+      {.total_kv_slots = 1,
        .max_pending = 8,
        .scheduler = runtime::make_scheduler(runtime::SchedulePolicy::edf),
        .preemption = std::make_shared<runtime::DeadlineAwarePreemption>()},
       &tracer);
-  const auto a = *engine.submit({1, 2, 3}, 12);  // long, best-effort
+  // long, best-effort
+  const auto a = *engine.submit({.prompt = {1, 2, 3}, .new_tokens = 12});
   EXPECT_TRUE(engine.step());
   // Feasible if admitted promptly, lost if it waits out request A.
-  (void)*engine.submit({7}, 2,
-                       {.priority = 0,
-                        .deadline_cycles = prefill + 3 * per_req});
+  (void)*engine.submit(
+      {.prompt = {7}, .new_tokens = 2,
+       .slo = {.priority = 0, .deadline_cycles = prefill + 3 * per_req}});
   (void)engine.run_to_completion();
   ASSERT_EQ(engine.stats().preemptions, 1);
   ASSERT_EQ(engine.stats().resumes, 1);
@@ -380,9 +385,11 @@ TEST(TraceExportGolden, MultiModelMissMarkersLandOnTheModelsLane) {
   sim::Tracer tracer;
   runtime::BatchedEngine engine(reg, {.total_kv_slots = 2, .max_pending = 8},
                                 &tracer);
-  (void)*engine.submit(0, {1, 2, 3}, 2);  // best-effort on model 0
+  // best-effort on model 0
+  (void)*engine.submit({.model = 0, .prompt = {1, 2, 3}, .new_tokens = 2});
   // Hopeless deadline on model 1 guarantees exactly one miss there.
-  (void)*engine.submit(1, {7}, 2, {.priority = 0, .deadline_cycles = 1});
+  (void)*engine.submit({.model = 1, .prompt = {7}, .new_tokens = 2,
+                        .slo = {.priority = 0, .deadline_cycles = 1}});
   (void)engine.run_to_completion();
   ASSERT_EQ(engine.stats().deadline_misses, 1);
   ASSERT_EQ(engine.stats().per_model[1].deadline_misses, 1);

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "registry_of.hpp"
 #include "runtime/batched_engine.hpp"
 #include "runtime/inference_session.hpp"
 #include "sim/tracer.hpp"
@@ -19,6 +20,7 @@
 #include "util/units.hpp"
 
 using namespace distmcu;
+using distmcu::testing::registry_of;
 using sim::Category;
 using sim::Tracer;
 
@@ -124,13 +126,16 @@ TEST(TracerFastPath, ServedWorkloadAggregatesIdenticalAcrossModes) {
   const runtime::InferenceSession session(cfg, 4);
 
   const auto run = [&](Tracer& tracer) {
-    runtime::BatchedEngine engine(session,
-                                  {.max_batch = 2, .max_pending = 8},
+    runtime::BatchedEngine engine(registry_of(session),
+                                  {.total_kv_slots = 2, .max_pending = 8},
                                   &tracer);
-    (void)*engine.submit({1, 2, 3}, 3, {.priority = 0});
-    (void)*engine.submit({4, 5}, 2, {.priority = 1});
-    (void)*engine.submit({6, 1, 2, 5}, 4,
-                         {.priority = 0, .deadline_cycles = 2'000'000});
+    (void)*engine.submit({.prompt = {1, 2, 3}, .new_tokens = 3,
+                          .slo = {.priority = 0}});
+    (void)*engine.submit({.prompt = {4, 5}, .new_tokens = 2,
+                          .slo = {.priority = 1}});
+    (void)*engine.submit(
+        {.prompt = {6, 1, 2, 5}, .new_tokens = 4,
+         .slo = {.priority = 0, .deadline_cycles = 2'000'000}});
     (void)engine.run_to_completion();
     return engine.stats().total_cycles;
   };

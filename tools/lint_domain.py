@@ -39,9 +39,10 @@ With ``--docs <dir>`` two documentation rules run as well:
   schemas are public contract, so an undocumented one is a doc bug, not
   an oversight CI should tolerate.
 * ``docs-snippet-sync`` — every ```` ```cpp ```` fence in
-  ``docs/extending.md`` must appear verbatim (modulo one uniform
-  indent) in ``tests/test_doc_snippets.cpp``, which compiles and runs
-  the examples; a fence with no compiled twin is documentation that can
+  ``extending.md`` of the docs tree and in the ``README.md`` beside it
+  must appear verbatim (modulo one uniform indent) in
+  ``tests/test_doc_snippets.cpp``, which compiles and runs the
+  examples; a fence with no compiled twin is documentation that can
   rot.
 
 Exit status: 0 when clean, 1 with one line per finding otherwise.
@@ -204,6 +205,7 @@ ID_ROOTS = ("src", "bench", "tools")
 ID_SUFFIXES = (".cpp", ".hpp", ".h", ".cc", ".py")
 
 SNIPPET_DOC_NAME = "extending.md"
+README_NAME = "README.md"
 SNIPPET_TEST = os.path.join("tests", "test_doc_snippets.cpp")
 
 
@@ -266,9 +268,16 @@ def lint_docs(docs_dir, findings):
                 f"{docs_dir}: [docs-coverage] bench schema {schema} is "
                 f"undocumented in the docs tree")
 
-    snippet_doc = os.path.join(docs_dir, SNIPPET_DOC_NAME)
-    if not os.path.exists(snippet_doc):
-        return
+    readme = os.path.join(os.path.dirname(os.path.normpath(docs_dir)),
+                          README_NAME)
+    for snippet_doc in (os.path.join(docs_dir, SNIPPET_DOC_NAME), readme):
+        if os.path.exists(snippet_doc):
+            lint_snippet_sync(snippet_doc, findings)
+
+
+def lint_snippet_sync(snippet_doc, findings):
+    """docs-snippet-sync for one markdown file (see the module
+    docstring)."""
     with open(snippet_doc, encoding="utf-8") as f:
         doc = f.read()
     fences = [m.group(1).rstrip("\n").splitlines()

@@ -58,12 +58,12 @@ int main(int argc, char** argv) {
                                                  model::Mode::autoregressive);
   std::cout << "=== block program (chip 0, autoregressive) ===\n";
   util::Table ops({"phase", "op", "m", "n", "k", "weight KiB", "kv KiB"});
-  for (const auto& op : prog.mhsa_phase[0]) {
+  for (const auto& op : prog.mhsa.ops(0)) {
     ops.row().add("mhsa").add(op.name()).add(op.m).add(op.n).add(op.k)
         .add(static_cast<double>(op.weight_bytes) / 1024.0, 1)
         .add(static_cast<double>(op.kv_bytes) / 1024.0, 1);
   }
-  for (const auto& op : prog.ffn_phase[0]) {
+  for (const auto& op : prog.ffn.ops(0)) {
     ops.row().add("ffn").add(op.name()).add(op.m).add(op.n).add(op.k)
         .add(static_cast<double>(op.weight_bytes) / 1024.0, 1)
         .add(static_cast<double>(op.kv_bytes) / 1024.0, 1);

@@ -452,9 +452,8 @@ class BatchedEngine {
   [[nodiscard]] int model_kv_quota(ModelId m) const;
   [[nodiscard]] int model_kv_cap(ModelId m) const;
   /// Effective prompt-chunk size of one deployed model (0 = serial
-  /// prefill). The zero-arg form keeps the single-model surface.
+  /// prefill).
   [[nodiscard]] int chunk_tokens(ModelId m) const;
-  [[nodiscard]] int chunk_tokens() const { return chunk_tokens(0); }
 
   /// Idle-engine service-demand estimate for one request shape on a
   /// deployed model — the same block-program estimate EDF admission,

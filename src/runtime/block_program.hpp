@@ -28,7 +28,8 @@ enum class OpKind {
 /// L3->L2 in the streamed regime), and the KV-cache bytes read.
 ///
 /// `label` names a static kernel ("q_proj", "scores"); per-head kernels
-/// also carry the global head index they serve. Lowering allocates no
+/// also carry the index of the head they serve within the chip's slice,
+/// so chips with equal slices share one op list. Lowering allocates no
 /// strings: name() formats the display name ("scores_h3") for traces and
 /// tables only.
 struct KernelOp {
@@ -39,20 +40,34 @@ struct KernelOp {
   Bytes weight_bytes = 0;
   Bytes kv_bytes = 0;
   std::string_view label;
-  int head = -1;  // -1: not a per-head kernel
+  int head = -1;  // head offset within the chip's slice; -1: not a per-head kernel
 
-  [[nodiscard]] std::string name() const;
+  /// Display name on a chip whose slice starts at global head
+  /// `first_head`: per-head kernels print the global head index.
+  [[nodiscard]] std::string name(int first_head = 0) const;
+};
 
-  /// Whether two ops cost the same on any chip: identical kind, shape
-  /// and streamed bytes. Labels and head indices do not enter the cost.
-  [[nodiscard]] bool same_cost_shape(const KernelOp& o) const {
-    return kind == o.kind && m == o.m && n == o.n && k == o.k &&
-           weight_bytes == o.weight_bytes && kv_bytes == o.kv_bytes;
+/// One parallel phase of a block: an op list per chip class, and per chip
+/// the class it runs and the first global head of its slice. A class is
+/// one slice shape (MHSA: projection width and head count; FFN: F
+/// width), so an even split lowers one list and an uneven split two.
+struct PhaseProgram {
+  struct Chip {
+    int cls = 0;         // index into `classes`
+    int first_head = 0;  // global index of the slice's first head
+  };
+
+  std::vector<std::vector<KernelOp>> classes;  // [class] -> ops
+  std::vector<Chip> chips;                     // [chip]
+
+  /// The op list `chip` runs (its class's list).
+  [[nodiscard]] const std::vector<KernelOp>& ops(int chip) const {
+    return classes[static_cast<std::size_t>(chips[static_cast<std::size_t>(chip)].cls)];
   }
 };
 
-/// The per-chip op lists of one Transformer block under the partition —
-/// the deployment IR shared between documentation, the timed simulation,
+/// The op lists of one Transformer block under the partition — the
+/// deployment IR shared between documentation, the timed simulation,
 /// and the cross-checks against the functional executor. Structure
 /// mirrors the paper's Fig. 3: a parallel MHSA phase, sync 1 (reduce +
 /// root norm + broadcast), a parallel FFN phase, sync 2.
@@ -61,15 +76,15 @@ struct BlockProgram {
   int seq_len = 1;          // S: rows processed by this block
   int attention_span = 1;   // T: KV positions attended
 
-  std::vector<std::vector<KernelOp>> mhsa_phase;  // [chip] -> ops
-  std::vector<KernelOp> root_mid;                 // skip-add + norm on the root
-  std::vector<std::vector<KernelOp>> ffn_phase;   // [chip] -> ops
+  PhaseProgram mhsa;
+  std::vector<KernelOp> root_mid;  // skip-add + norm on the root
+  PhaseProgram ffn;
   std::vector<KernelOp> root_end;
 
   /// Bytes of one all-reduce payload (the [S, E] partial output).
   Bytes sync_payload_bytes = 0;
 
-  [[nodiscard]] int num_chips() const { return static_cast<int>(mhsa_phase.size()); }
+  [[nodiscard]] int num_chips() const { return static_cast<int>(mhsa.chips.size()); }
 
   /// Total stationary weight bytes a chip touches in one block — must
   /// equal the planner's shard size (asserted in tests).
@@ -83,7 +98,9 @@ struct BlockProgram {
   [[nodiscard]] std::size_t chip_num_ops(int chip) const;
 };
 
-/// Lower a partition plan to per-chip op lists for one block in `mode`.
+/// Lower a partition plan to the op lists of one block in `mode`: one
+/// representative chip per class is lowered, and every chip's weight
+/// bytes are checked against the plan's shard.
 ///
 /// `attention_span_override`, when positive, replaces the mode-derived
 /// attention span T (the KV positions each query row's score/context

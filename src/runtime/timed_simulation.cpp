@@ -112,16 +112,9 @@ OpCost cost_op(const KernelOp& op, const chip::KernelTiming& timing,
   return out;
 }
 
-bool same_cost_shape(const std::vector<KernelOp>& a, const std::vector<KernelOp>& b) {
-  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
-                    [](const KernelOp& x, const KernelOp& y) { return x.same_cost_shape(y); });
-}
-
-/// One distinct per-chip op list of a phase, priced once: the cost of
-/// each op (replayed for trace spans) and their sum (the chip totals).
-/// Chips of an even split share one list; an uneven split has two.
-struct PricedList {
-  const std::vector<KernelOp>* ops = nullptr;
+/// One class list of a phase, priced once: the cost of each op (replayed
+/// for trace spans) and their sum (the totals of every chip of the class).
+struct PricedClass {
   std::vector<OpCost> costs;
   OpCost sum;
 };
@@ -159,33 +152,29 @@ RunReport TimedBlockSimulation::run(const partition::PartitionPlan& plan,
   rep.residency = mp.residency;
   rep.t_comp.assign(static_cast<std::size_t>(n), 0);
 
-  auto run_phase = [&](const std::vector<Cycles>& start,
-                       const std::vector<std::vector<KernelOp>>& per_chip) {
+  auto run_phase = [&](const std::vector<Cycles>& start, const PhaseProgram& phase) {
+    std::vector<PricedClass> priced(phase.classes.size());
+    for (std::size_t k = 0; k < priced.size(); ++k) {
+      PricedClass& pc = priced[k];
+      pc.costs.reserve(phase.classes[k].size());
+      for (const KernelOp& op : phase.classes[k]) {
+        pc.sum += pc.costs.emplace_back(
+            cost_op(op, timing, sys_.chip, sys_.precision, streamed));
+      }
+    }
     PhaseResult res;
     res.end.resize(static_cast<std::size_t>(n));
     res.contrib.resize(static_cast<std::size_t>(n));
-    std::vector<PricedList> priced;
     for (int c = 0; c < n; ++c) {
-      const std::vector<KernelOp>& ops = per_chip[static_cast<std::size_t>(c)];
-      auto list = std::find_if(priced.begin(), priced.end(), [&](const PricedList& p) {
-        return same_cost_shape(*p.ops, ops);
-      });
-      if (list == priced.end()) {
-        PricedList& fresh = priced.emplace_back();
-        fresh.ops = &ops;
-        fresh.costs.reserve(ops.size());
-        for (const KernelOp& op : ops) {
-          fresh.sum += fresh.costs.emplace_back(
-              cost_op(op, timing, sys_.chip, sys_.precision, streamed));
-        }
-        list = priced.end() - 1;
-      }
+      const PhaseProgram::Chip& chip = phase.chips[static_cast<std::size_t>(c)];
+      const PricedClass& pc = priced[static_cast<std::size_t>(chip.cls)];
       const Cycles t0 = start[static_cast<std::size_t>(c)];
       if (tracer != nullptr) {
+        const std::vector<KernelOp>& ops = phase.ops(c);
         Cycles t = t0;
         for (std::size_t i = 0; i < ops.size(); ++i) {
-          const OpCost& oc = list->costs[i];
-          const std::string name = ops[i].name();
+          const OpCost& oc = pc.costs[i];
+          const std::string name = ops[i].name(chip.first_head);
           if (oc.l3_part > 0) {
             tracer->record(c, sim::Category::dma_l3_l2, t, t + oc.l3_part, oc.l3_bytes,
                            name + ":l3");
@@ -195,7 +184,7 @@ RunReport TimedBlockSimulation::run(const partition::PartitionPlan& plan,
           t += oc.duration;
         }
       }
-      const OpCost& sum = list->sum;
+      const OpCost& sum = pc.sum;
       rep.traffic.l2_l1 += sum.l1_bytes;
       rep.traffic.l3_l2 += sum.l3_bytes;
       rep.t_comp[static_cast<std::size_t>(c)] += sum.active;
@@ -231,7 +220,7 @@ RunReport TimedBlockSimulation::run(const partition::PartitionPlan& plan,
 
   // ---- timeline -------------------------------------------------------
   const std::vector<Cycles> zeros(static_cast<std::size_t>(n), 0);
-  const PhaseResult ph_a = run_phase(zeros, prog.mhsa_phase);
+  const PhaseResult ph_a = run_phase(zeros, prog.mhsa);
   const Cycles a_end = *std::max_element(ph_a.end.begin(), ph_a.end.end());
 
   const auto red1 = ctimer.reduce(ph_a.end, prog.sync_payload_bytes, tracer);
@@ -243,7 +232,7 @@ RunReport TimedBlockSimulation::run(const partition::PartitionPlan& plan,
   const auto bc1 = ctimer.broadcast(mid_end, prog.sync_payload_bytes, tracer);
   rep.traffic.c2c += bc1.c2c_bytes;
 
-  const PhaseResult ph_b = run_phase(bc1.chip_ready, prog.ffn_phase);
+  const PhaseResult ph_b = run_phase(bc1.chip_ready, prog.ffn);
   const Cycles b_end = *std::max_element(ph_b.end.begin(), ph_b.end.end());
 
   const auto red2 = ctimer.reduce(ph_b.end, prog.sync_payload_bytes, tracer);

@@ -709,7 +709,7 @@ TEST(BatchedEngineChunked, TokensIdenticalAcrossChunkSizes) {
   for (const int chunk : {1, 2, 3, cfg.prompt_len}) {
     BatchedEngine engine(registry_of(session, chunk), {.total_kv_slots = 2,
                                                        .max_pending = 64});
-    EXPECT_EQ(engine.chunk_tokens(), chunk);
+    EXPECT_EQ(engine.chunk_tokens(0), chunk);
     std::vector<RequestId> ids;
     for (const auto& w : workloads) {
       ids.push_back(*engine.submit({.prompt = w.prompt,
@@ -813,7 +813,7 @@ TEST(BatchedEngineChunked, SingleChunkStepStructureMatchesSerialMode) {
                                               .max_pending = 64});
   BatchedEngine chunked(registry_of(session, 1000), {.total_kv_slots = 2,
                                                      .max_pending = 64});
-  EXPECT_EQ(chunked.chunk_tokens(), cfg.prompt_len);
+  EXPECT_EQ(chunked.chunk_tokens(0), cfg.prompt_len);
   std::vector<RequestId> sids, cids;
   for (const auto& w : workloads) {
     sids.push_back(*serial.submit({.prompt = w.prompt,

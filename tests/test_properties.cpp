@@ -41,8 +41,8 @@ using FullSweepParam = std::tuple<std::string, int, int>;  // model, chips, mode
 
 /// Deployable (model, chips) pairs in both modes: a chip needs at least
 /// one head, so counts stop at the model's head count. The uneven counts
-/// split heads unequally, which gives the timed simulation two distinct
-/// per-chip op lists to price.
+/// split heads unequally, which gives the timed simulation two chip
+/// classes to price.
 std::vector<FullSweepParam> full_sweep_params() {
   const std::pair<const char*, std::vector<int>> chip_counts[] = {
       {"tinyllama", {1, 2, 3, 4, 5, 7, 8}},

@@ -90,18 +90,22 @@ TEST(BlockProgram, KernelNamesCarryTheGlobalHeadIndex) {
   const auto plan = PartitionPlan::create(cfg, 3);
   const auto prog = runtime::build_block_program(plan, PrecisionConfig{}, Mode::prompt);
   std::vector<std::string> names;
-  for (const auto& op : prog.mhsa_phase[2]) names.push_back(op.name());
+  for (const auto& op : prog.mhsa.ops(2)) {
+    names.push_back(op.name(prog.mhsa.chips[2].first_head));
+  }
   const std::vector<std::string> want = {
       "q_proj", "k_proj", "v_proj", "rope_q", "rope_k", "scores_h6", "softmax_h6",
       "context_h6", "scores_h7", "softmax_h7", "context_h7", "out_proj"};
   EXPECT_EQ(names, want);
-  // Chips 0 and 1 own three heads each: same cost shape, different names.
-  const auto& a = prog.mhsa_phase[0];
-  const auto& b = prog.mhsa_phase[1];
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_TRUE(a[i].same_cost_shape(b[i]));
-  EXPECT_NE(a[5].name(), b[5].name());
-  EXPECT_FALSE(a.front().same_cost_shape(prog.mhsa_phase[2].front()));
+  // Chips 0 and 1 own three heads each: one class list, different names.
+  ASSERT_EQ(prog.mhsa.classes.size(), 2u);
+  EXPECT_EQ(prog.mhsa.chips[0].cls, prog.mhsa.chips[1].cls);
+  EXPECT_EQ(&prog.mhsa.ops(0), &prog.mhsa.ops(1));
+  const auto& a = prog.mhsa.ops(0);
+  EXPECT_NE(a[5].name(prog.mhsa.chips[0].first_head),
+            a[5].name(prog.mhsa.chips[1].first_head));
+  EXPECT_NE(prog.mhsa.chips[0].cls, prog.mhsa.chips[2].cls);
+  EXPECT_NE(a.front().n, prog.mhsa.ops(2).front().n);
 }
 
 TEST(BlockProgram, BertSkipsRope) {
@@ -120,6 +124,86 @@ TEST(BlockProgram, KvBytesScaleWithContext) {
       runtime::build_block_program(plan, PrecisionConfig{}, Mode::autoregressive);
   // Per chip: one head, scores+context each read T*P*1B = 128*64.
   EXPECT_EQ(prog.chip_kv_bytes(0), 2u * 128u * 64u);
+}
+
+namespace {
+
+void expect_same_report(const RunReport& a, const RunReport& b, const std::string& where) {
+  EXPECT_EQ(a.block_cycles, b.block_cycles) << where;
+  EXPECT_EQ(a.residency, b.residency) << where;
+  EXPECT_EQ(a.breakdown.compute, b.breakdown.compute) << where;
+  EXPECT_EQ(a.breakdown.dma_l3_l2, b.breakdown.dma_l3_l2) << where;
+  EXPECT_EQ(a.breakdown.dma_l2_l1, b.breakdown.dma_l2_l1) << where;
+  EXPECT_EQ(a.breakdown.c2c, b.breakdown.c2c) << where;
+  EXPECT_EQ(a.traffic.l3_l2, b.traffic.l3_l2) << where;
+  EXPECT_EQ(a.traffic.l2_l1, b.traffic.l2_l1) << where;
+  EXPECT_EQ(a.traffic.c2c, b.traffic.c2c) << where;
+  EXPECT_EQ(a.prefetch_bytes, b.prefetch_bytes) << where;
+  EXPECT_EQ(a.t_comp, b.t_comp) << where;
+}
+
+}  // namespace
+
+// Class lowering over the sweep's models (plus a SwiGLU TinyLlama for the
+// gated FFN), every chip count the plan allows (uneven splits included),
+// both modes, and a seeded attention-span override: each chip's class
+// list must be the slice it owns, and the per-head kernels of all chips
+// must serve every head exactly once.
+TEST(BlockProgram, ClassListsLowerEveryChipOfTheSweepGrid) {
+  TransformerConfig swiglu = TransformerConfig::tiny_llama_42m();
+  swiglu.ffn = model::FfnKind::swiglu;
+  const TransformerConfig models[] = {TransformerConfig::tiny_llama_42m(),
+                                      TransformerConfig::mobile_bert(),
+                                      TransformerConfig::tiny_llama_scaled(64), swiglu};
+  const PrecisionConfig prec;
+  const TimedBlockSimulation sim(default_sys());
+  util::Rng rng(26);
+  for (const TransformerConfig& cfg : models) {
+    const bool rope = cfg.pos == model::PosEmbed::rope;
+    const std::size_t ffn_ops = cfg.ffn == model::FfnKind::swiglu ? 5 : 3;
+    for (int n = 1; n <= cfg.num_heads; ++n) {
+      const auto plan = PartitionPlan::create(cfg, n);
+      for (const Mode mode : {Mode::autoregressive, Mode::prompt}) {
+        const int rows = mode == Mode::prompt ? cfg.prompt_len : 1;
+        const int drawn =
+            rows + static_cast<int>(rng.next_below(static_cast<std::uint64_t>(cfg.ar_context)));
+        for (const int span : {0, drawn}) {
+          const std::string where = cfg.name + " n=" + std::to_string(n) + " " +
+                                    model::mode_name(mode) + " span=" + std::to_string(span);
+          const BlockProgram prog = runtime::build_block_program(plan, prec, mode, span);
+          ASSERT_EQ(prog.num_chips(), n) << where;
+          EXPECT_LE(prog.mhsa.classes.size(), 2u) << where;
+          EXPECT_LE(prog.ffn.classes.size(), 2u) << where;
+          // [label][global head] -> chips serving it.
+          std::vector<std::vector<int>> served(
+              3, std::vector<int>(static_cast<std::size_t>(cfg.num_heads)));
+          for (int c = 0; c < n; ++c) {
+            const int heads = plan.slice(c).num_heads();
+            EXPECT_EQ(prog.chip_weight_bytes(c),
+                      plan.chip_block_weight_elems(c) * prec.weight_bytes)
+                << where << " chip " << c;
+            EXPECT_EQ(prog.mhsa.ops(c).size(),
+                      static_cast<std::size_t>(3 + (rope ? 2 : 0) + 3 * heads + 1))
+                << where << " chip " << c;
+            EXPECT_EQ(prog.ffn.ops(c).size(), ffn_ops) << where << " chip " << c;
+            const int first = prog.mhsa.chips[static_cast<std::size_t>(c)].first_head;
+            for (const auto& op : prog.mhsa.ops(c)) {
+              if (op.head < 0) continue;
+              ASSERT_LT(op.head, heads) << where << " chip " << c;
+              const std::size_t which = op.label == "scores" ? 0 : op.label == "softmax" ? 1 : 2;
+              ++served[which][static_cast<std::size_t>(first + op.head)];
+            }
+          }
+          for (const auto& per_head : served) {
+            for (const int count : per_head) EXPECT_EQ(count, 1) << where;
+          }
+          sim::Tracer tracer;
+          expect_same_report(sim.run(plan, mode, &tracer, span),
+                             sim.run(plan, mode, nullptr, span), where);
+        }
+      }
+    }
+  }
 }
 
 // --- timed simulation ----------------------------------------------------

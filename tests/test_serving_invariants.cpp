@@ -246,7 +246,7 @@ void check_invariants(const Scenario& sc, const BatchedEngine& engine,
   // serial mode).
   EXPECT_EQ(stats.prefill_stall_cycles + stats.prefill_cycles_hidden,
             stats.prefill_stream_cycles);
-  if (engine.chunk_tokens() == 0) {
+  if (engine.chunk_tokens(0) == 0) {
     EXPECT_EQ(stats.prefill_stream_cycles, 0u);
   }
 

@@ -111,7 +111,7 @@ TEST(Swiglu, BlockProgramEmitsGateOps) {
   const auto prog = runtime::build_block_program(plan, partition::PrecisionConfig{},
                                                  model::Mode::prompt);
   bool saw_w3 = false, saw_mul = false;
-  for (const auto& op : prog.ffn_phase[0]) {
+  for (const auto& op : prog.ffn.ops(0)) {
     if (op.label == "ffn_w3") saw_w3 = true;
     if (op.label == "ffn_gate_mul") saw_mul = true;
   }

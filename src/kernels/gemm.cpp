@@ -30,6 +30,9 @@ void check_dims(int m, int n, int k) {
 /// The row-at-a-time loop over columns [j0, j1) of rows [i0, i1):
 /// k-outer keeps B accesses sequential. Raw pointers and strides, not
 /// views, so GCC vectorizes the column loop as tightly as a dense one.
+/// `Acc` continues each element's sum from C's value instead of
+/// starting it from the bias (or 0).
+template <bool Acc>
 void gemm_rows(ConstView a, ConstView b, View c, const float* bias, int i0, int i1,
                int j0, int j1) {
   const int k = a.cols;
@@ -39,7 +42,7 @@ void gemm_rows(ConstView a, ConstView b, View c, const float* bias, int i0, int 
   for (int i = i0; i < i1; ++i) {
     float* crow = c.row(i) + j0;
     const float* arow = a.row(i);
-    for (int j = 0; j < n; ++j) crow[j] = bias == nullptr ? 0.0f : bias[j0 + j];
+    if constexpr (!Acc) for (int j = 0; j < n; ++j) crow[j] = bias == nullptr ? 0.0f : bias[j0 + j];
     for (int p = 0; p < k; ++p) {
       const float av = arow[p];
       if (av == 0.0f) continue;
@@ -53,13 +56,15 @@ void gemm_rows(ConstView a, ConstView b, View c, const float* bias, int i0, int 
 /// the same per-element order and zero skip as gemm_rows. Raw pointers
 /// and strides, not views; and always inlined, because GCC vectorizes
 /// this loop (keeping `acc` in registers) only where it is inlined.
-template <int R, int NB>
+template <bool Acc, int R, int NB>
 [[gnu::always_inline]] inline void gemm_tile(const float* a, std::ptrdiff_t lda,
                                              const float* b, std::ptrdiff_t ldb, float* c,
                                              std::ptrdiff_t ldc, int k, const float* bias) {
   float acc[R][NB];
   for (int r = 0; r < R; ++r) {
-    for (int t = 0; t < NB; ++t) acc[r][t] = bias == nullptr ? 0.0f : bias[t];
+    for (int t = 0; t < NB; ++t) {
+      acc[r][t] = Acc ? c[r * ldc + t] : bias == nullptr ? 0.0f : bias[t];
+    }
   }
   for (int p = 0; p < k; ++p) {
     float bv[NB];
@@ -77,11 +82,11 @@ template <int R, int NB>
 
 /// All columns of rows [i, i + R): tiles of NB, then one of 8 when NB is
 /// wider and 8 still fit, then the row loop for the last columns.
-template <int R, int NB>
+template <bool Acc, int R, int NB>
 void gemm_row_block(ConstView a, ConstView b, View c, const float* bias, int i) {
   const int n = c.cols;
   const auto tile = [&](auto width, int j) {
-    gemm_tile<R, decltype(width)::value>(a.row(i), a.ld, b.data + j, b.ld, c.row(i) + j,
+    gemm_tile<Acc, R, decltype(width)::value>(a.row(i), a.ld, b.data + j, b.ld, c.row(i) + j,
                                          c.ld, a.cols, bias == nullptr ? nullptr : bias + j);
   };
   int j = 0;
@@ -92,7 +97,7 @@ void gemm_row_block(ConstView a, ConstView b, View c, const float* bias, int i) 
       j += 8;
     }
   }
-  if (j < n) gemm_rows(a, b, c, bias, i, i + R, j, n);
+  if (j < n) gemm_rows<Acc>(a, b, c, bias, i, i + R, j, n);
 }
 
 /// kNtBlock dot products of `a` with consecutive rows of `b`, each in
@@ -106,36 +111,43 @@ void gemm_nt_block(const float* a, const float* b, std::ptrdiff_t ldb, float* c,
   for (int t = 0; t < kNtBlock; ++t) c[t] = acc[t];
 }
 
-}  // namespace
-
-void gemm(ConstView a, ConstView b, View c, std::span<const float> bias) {
+/// gemm's checks and blocking for every shape; `Acc` selects the
+/// accumulate entry.
+template <bool Acc>
+void gemm_blocked(ConstView a, ConstView b, View c, const float* bz) {
   const int m = a.rows;
   const int n = b.cols;
   check_dims(m, n, a.cols);
-  DISTMCU_CHECK(b.rows == a.cols && c.rows == m && c.cols == n,
-                "gemm: view shape mismatch");
-  DISTMCU_CHECK(bias.empty() || bias.size() == static_cast<std::size_t>(n),
-                "gemm: bias size mismatch");
-  const float* bz = bias.empty() ? nullptr : bias.data();
+  DISTMCU_CHECK(b.rows == a.cols && c.rows == m && c.cols == n, "gemm: view shape mismatch");
   if (n < 8 || n > kMaxTiledCols) {
-    gemm_rows(a, b, c, bz, 0, m, 0, n);
+    gemm_rows<Acc>(a, b, c, bz, 0, m, 0, n);
     return;
   }
   int i = 0;
   if (n % 16 == 0) {
-    for (; i + 2 <= m; i += 2) gemm_row_block<2, 16>(a, b, c, bz, i);
+    for (; i + 2 <= m; i += 2) gemm_row_block<Acc, 2, 16>(a, b, c, bz, i);
   } else {
-    for (; i + 4 <= m; i += 4) gemm_row_block<4, 8>(a, b, c, bz, i);
+    for (; i + 4 <= m; i += 4) gemm_row_block<Acc, 4, 8>(a, b, c, bz, i);
     if (m - i == 3) {
-      gemm_row_block<3, 8>(a, b, c, bz, i);
+      gemm_row_block<Acc, 3, 8>(a, b, c, bz, i);
       i += 3;
     } else if (m - i == 2) {
-      gemm_row_block<2, 16>(a, b, c, bz, i);
+      gemm_row_block<Acc, 2, 16>(a, b, c, bz, i);
       i += 2;
     }
   }
-  if (i < m) gemm_row_block<1, 16>(a, b, c, bz, i);
+  if (i < m) gemm_row_block<Acc, 1, 16>(a, b, c, bz, i);
 }
+
+}  // namespace
+
+void gemm(ConstView a, ConstView b, View c, std::span<const float> bias) {
+  DISTMCU_CHECK(bias.empty() || bias.size() == static_cast<std::size_t>(b.cols),
+                "gemm: bias size mismatch");
+  gemm_blocked<false>(a, b, c, bias.empty() ? nullptr : bias.data());
+}
+
+void gemm_acc(ConstView a, ConstView b, View c) { gemm_blocked<true>(a, b, c, nullptr); }
 
 void gemm_nt(ConstView a, ConstView b, View c) {
   const int k = a.cols;

@@ -19,6 +19,11 @@ namespace distmcu::kernels {
 /// several requests into one call leaves every element bit-identical.
 void gemm(ConstView a, ConstView b, View c, std::span<const float> bias = {});
 
+/// C[M,N] += A[M,K] * B[K,N]: each element continues gemm's ascending-p
+/// sum (and zero skip) from C's value, so gemm over a first K range then
+/// gemm_acc over the rest in order gives gemm's bits over the whole K.
+void gemm_acc(ConstView a, ConstView b, View c);
+
 /// C[M,N] = A[M,K] * B^T where B is [N,K] (the Q*K^T pattern); each
 /// element is the ascending-p sum of a[i][p] * b[j][p].
 void gemm_nt(ConstView a, ConstView b, View c);

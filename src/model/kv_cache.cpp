@@ -6,9 +6,48 @@
 
 namespace distmcu::model {
 
+namespace {
+/// The one-entry page table of a dense cache.
+constexpr int kFirstPage[] = {0};
+}  // namespace
+
+float* KvPageView::k_row(int pos) const {
+  DISTMCU_CHECK(pos >= 0 && static_cast<std::size_t>(pos / page_tokens) < table.size(),
+                "KV append beyond the request's page table");
+  return page(pos / page_tokens) +
+         static_cast<std::size_t>(pos % page_tokens) * static_cast<std::size_t>(width);
+}
+
+KvPageView KvPageTable::slice(std::size_t i) const {
+  const std::size_t first = row_offsets[i];
+  return {store + first * static_cast<std::size_t>(page_tokens), page_stride, page_tokens,
+          static_cast<int>((row_offsets[i + 1] - first) / 2), table};
+}
+
+KvPageTable KvPageTable::compact(std::vector<float>& buf, int rows) const {
+  buf.resize(kv_page_floats(row_offsets, rows));
+  return {buf.data(), 0, rows, kFirstPage, row_offsets};
+}
+
+void copy_kv_rows(const KvPageTable& src, int src_pos, const KvPageTable& dst, int dst_pos,
+                  int n) {
+  DISTMCU_CHECK(src.row_offsets.size() == dst.row_offsets.size(),
+                "copy_kv_rows: row layouts differ");
+  for (std::size_t i = 0; i < src.slices(); ++i) {
+    const KvPageView from = src.slice(i);
+    const KvPageView to = dst.slice(i);
+    const auto width = static_cast<std::ptrdiff_t>(from.width);
+    for (int r = 0; r < n; ++r) {
+      const float* k = from.k_row(src_pos + r);
+      std::copy(k, k + width, to.k_row(dst_pos + r));
+      const float* v = from.v_row(src_pos + r);
+      std::copy(v, v + width, to.v_row(dst_pos + r));
+    }
+  }
+}
+
 KvCache::KvCache(int max_positions, int dim)
-    : max_positions_(max_positions), dim_(dim), k_store_(max_positions, dim),
-      v_store_(max_positions, dim) {
+    : max_positions_(max_positions), dim_(dim), kv_(2 * max_positions, dim) {
   DISTMCU_CHECK(max_positions > 0 && dim > 0, "KvCache: dimensions must be positive");
 }
 
@@ -17,160 +56,39 @@ void KvCache::append(std::span<const float> k, std::span<const float> v) {
   DISTMCU_CHECK(k.size() == static_cast<std::size_t>(dim_) &&
                   v.size() == static_cast<std::size_t>(dim_),
               "KvCache: row size mismatch");
-  std::copy(k.begin(), k.end(), k_store_.row(length_).begin());
-  std::copy(v.begin(), v.end(), v_store_.row(length_).begin());
+  std::copy(k.begin(), k.end(), kv_.row(length_).begin());
+  std::copy(v.begin(), v.end(), kv_.row(max_positions_ + length_).begin());
   ++length_;
 }
 
 std::span<const float> KvCache::k() const {
-  return k_store_.span().subspan(0, static_cast<std::size_t>(length_) *
-                                        static_cast<std::size_t>(dim_));
+  return kv_.span().subspan(0, static_cast<std::size_t>(length_) *
+                                   static_cast<std::size_t>(dim_));
 }
 
 std::span<const float> KvCache::v() const {
-  return v_store_.span().subspan(0, static_cast<std::size_t>(length_) *
-                                        static_cast<std::size_t>(dim_));
+  return kv_.span().subspan(
+      static_cast<std::size_t>(max_positions_) * static_cast<std::size_t>(dim_),
+      static_cast<std::size_t>(length_) * static_cast<std::size_t>(dim_));
 }
 
 kernels::ConstView KvCache::k_view(int c0, int c1) const {
   DISTMCU_CHECK(length_ > 0, "KvCache::k_view: cache is empty");
   DISTMCU_CHECK(0 <= c0 && c0 < c1 && c1 <= dim_, "KvCache::k_view: bad range");
-  return k_store_.view().row_range(0, length_).col_range(c0, c1);
+  return kv_.view().row_range(0, length_).col_range(c0, c1);
 }
 
 kernels::ConstView KvCache::v_view(int c0, int c1) const {
   DISTMCU_CHECK(length_ > 0, "KvCache::v_view: cache is empty");
   DISTMCU_CHECK(0 <= c0 && c0 < c1 && c1 <= dim_, "KvCache::v_view: bad range");
-  return v_store_.view().row_range(0, length_).col_range(c0, c1);
+  return kv_.view().row_range(max_positions_, max_positions_ + length_).col_range(c0, c1);
 }
 
-void KvCache::copy_state_from(const KvCache& src) {
-  DISTMCU_CHECK(src.max_positions_ == max_positions_ && src.dim_ == dim_,
-              "KvCache::copy_state_from: shape mismatch");
-  for (int p = 0; p < src.length_; ++p) {
-    const auto k = src.k_store_.row(p);
-    const auto v = src.v_store_.row(p);
-    std::copy(k.begin(), k.end(), k_store_.row(p).begin());
-    std::copy(v.begin(), v.end(), v_store_.row(p).begin());
-  }
-  length_ = src.length_;
-}
-
-void KvCache::copy_prefix_from(const KvCache& src, int positions) {
-  DISTMCU_CHECK(src.max_positions_ == max_positions_ && src.dim_ == dim_,
-              "KvCache::copy_prefix_from: shape mismatch");
-  DISTMCU_CHECK(positions >= 0 && positions <= src.length_,
-              "KvCache::copy_prefix_from: prefix exceeds source length");
-  for (int p = 0; p < positions; ++p) {
-    const auto k = src.k_store_.row(p);
-    const auto v = src.v_store_.row(p);
-    std::copy(k.begin(), k.end(), k_store_.row(p).begin());
-    std::copy(v.begin(), v.end(), v_store_.row(p).begin());
-  }
-  length_ = positions;
-}
-
-KvCachePool::KvCachePool(int n_slots, const std::function<CacheSet()>& build_set) {
-  DISTMCU_CHECK(n_slots > 0, "KvCachePool: slot count must be positive");
-  slots_.reserve(static_cast<std::size_t>(n_slots));
-  for (int i = 0; i < n_slots; ++i) slots_.push_back(build_set());
-  DISTMCU_CHECK(!slots_.front().empty() && !slots_.front().front().empty(),
-              "KvCachePool: builder produced an empty cache set");
-  set_in_use_.assign(static_cast<std::size_t>(n_slots), false);
-}
-
-KvCachePool::CacheSet& KvCachePool::slot(int i) {
-  DISTMCU_CHECK(i >= 0 && i < capacity(), "KvCachePool: slot index out of range");
-  return slots_[static_cast<std::size_t>(i)];
-}
-
-void KvCachePool::reset_slot(int i) {
-  for (auto& per_chip : slot(i)) {
-    for (auto& cache : per_chip) cache.reset();
-  }
-}
-
-void KvCachePool::restore_slot(int i, const CacheSet& snapshot) {
-  CacheSet& dst = slot(i);
-  DISTMCU_CHECK(snapshot.size() == dst.size(),
-              "KvCachePool::restore_slot: chip-count mismatch");
-  for (std::size_t chip = 0; chip < dst.size(); ++chip) {
-    DISTMCU_CHECK(snapshot[chip].size() == dst[chip].size(),
-                "KvCachePool::restore_slot: layer-count mismatch");
-    for (std::size_t l = 0; l < dst[chip].size(); ++l) {
-      dst[chip][l].copy_state_from(snapshot[chip][l]);
-    }
-  }
-}
-
-void KvCachePool::restore_prefix(int i, const CacheSet& snapshot,
-                                 int positions) {
-  CacheSet& dst = slot(i);
-  DISTMCU_CHECK(snapshot.size() == dst.size(),
-              "KvCachePool::restore_prefix: chip-count mismatch");
-  for (std::size_t chip = 0; chip < dst.size(); ++chip) {
-    DISTMCU_CHECK(snapshot[chip].size() == dst[chip].size(),
-                "KvCachePool::restore_prefix: layer-count mismatch");
-    for (std::size_t l = 0; l < dst[chip].size(); ++l) {
-      dst[chip][l].copy_prefix_from(snapshot[chip][l], positions);
-    }
-  }
-}
-
-Bytes KvCachePool::set_filled_bytes(int i, Bytes elem_bytes) {
-  Bytes sum = 0;
-  for (const auto& per_chip : slot(i)) {
-    for (const auto& cache : per_chip) sum += cache.filled_bytes(elem_bytes);
-  }
-  return sum;
-}
-
-Bytes KvCachePool::set_filled_packed_bytes(int i, int elem_bits) {
-  Bytes sum = 0;
-  for (const auto& per_chip : slot(i)) {
-    for (const auto& cache : per_chip) {
-      sum += cache.filled_packed_bytes(elem_bits);
-    }
-  }
-  return sum;
-}
-
-std::optional<int> KvCachePool::acquire_set() {
-  for (std::size_t i = 0; i < set_in_use_.size(); ++i) {
-    if (!set_in_use_[i]) {
-      set_in_use_[i] = true;
-      ++sets_in_use_;
-      return static_cast<int>(i);
-    }
-  }
-  return std::nullopt;
-}
-
-void KvCachePool::release_set(int i) {
-  DISTMCU_CHECK(i >= 0 && i < capacity(),
-              "KvCachePool: release of out-of-range set");
-  DISTMCU_CHECK(set_in_use_[static_cast<std::size_t>(i)],
-              "KvCachePool: double release of set " + std::to_string(i));
-  set_in_use_[static_cast<std::size_t>(i)] = false;
-  --sets_in_use_;
-}
-
-Bytes KvCachePool::set_capacity_bytes(Bytes elem_bytes) const {
-  Bytes sum = 0;
-  for (const auto& per_chip : slots_.front()) {
-    for (const auto& cache : per_chip) sum += cache.capacity_bytes(elem_bytes);
-  }
-  return sum;
-}
-
-Bytes KvCachePool::set_capacity_packed_bytes(int elem_bits) const {
-  Bytes sum = 0;
-  for (const auto& per_chip : slots_.front()) {
-    for (const auto& cache : per_chip) {
-      sum += cache.capacity_packed_bytes(elem_bits);
-    }
-  }
-  return sum;
+KvPageView KvCache::extend(int length) {
+  DISTMCU_CHECK(length >= length_ && length <= max_positions_,
+                "KvCache::extend: length outside [length, capacity]");
+  length_ = length;
+  return {kv_.span().data(), 0, max_positions_, dim_, kFirstPage};
 }
 
 }  // namespace distmcu::model

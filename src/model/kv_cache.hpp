@@ -1,9 +1,8 @@
 #ifndef DISTMCU_MODEL_KV_CACHE_HPP
 #define DISTMCU_MODEL_KV_CACHE_HPP
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -23,11 +22,68 @@ namespace distmcu::model {
       kBitsPerByte);
 }
 
+/// One chip's and one layer's KV rows behind a page table (the
+/// PagedAttention layout): logical page i holds token positions
+/// [i * page_tokens, (i + 1) * page_tokens) in physical page table[i],
+/// whose rows start at base + table[i] * page_stride — K rows
+/// [page_tokens, width] first, then V rows of the same shape.
+struct KvPageView {
+  float* base = nullptr;
+  std::size_t page_stride = 0;
+  int page_tokens = 0;
+  int width = 0;
+  std::span<const int> table;
+
+  /// K rows of logical page i; its V rows follow at v_offset().
+  [[nodiscard]] float* page(int i) const {
+    return base + static_cast<std::size_t>(table[static_cast<std::size_t>(i)]) * page_stride;
+  }
+  [[nodiscard]] std::size_t v_offset() const {
+    return static_cast<std::size_t>(page_tokens) * static_cast<std::size_t>(width);
+  }
+  /// The K row of position `pos`; throws when the table does not reach
+  /// it (an append beyond the request's pages).
+  [[nodiscard]] float* k_row(int pos) const;
+  [[nodiscard]] float* v_row(int pos) const { return k_row(pos) + v_offset(); }
+};
+
+/// One request's KV rows of every chip and layer behind its page table,
+/// in a store of pages `page_stride` floats apart, each laid out
+/// [chip][layer][K|V][page_tokens][width(chip)]. `row_offsets` holds each
+/// (chip, layer)'s offset in a one-position page, then its size.
+struct KvPageTable {
+  float* store = nullptr;
+  std::size_t page_stride = 0;
+  int page_tokens = 0;
+  std::span<const int> table;
+  std::span<const std::size_t> row_offsets;
+
+  /// Number of (chip, layer) slices.
+  [[nodiscard]] std::size_t slices() const { return row_offsets.size() - 1; }
+  /// Slice `i` (chip * layers + layer) as a page view.
+  [[nodiscard]] KvPageView slice(std::size_t i) const;
+  /// A compact copy's table of `rows` positions in this row layout: one
+  /// `rows`-position page in `buf`, resized to fit.
+  [[nodiscard]] KvPageTable compact(std::vector<float>& buf, int rows) const;
+};
+
+/// Floats one page of `page_tokens` positions holds under `row_offsets`.
+[[nodiscard]] inline std::size_t kv_page_floats(std::span<const std::size_t> row_offsets,
+                                                int page_tokens) {
+  return row_offsets.back() * static_cast<std::size_t>(page_tokens);
+}
+
+/// Copy every slice's K and V rows of positions [src_pos, src_pos + n) of
+/// `src` to [dst_pos, dst_pos + n) of `dst` (one row layout).
+void copy_kv_rows(const KvPageTable& src, int src_pos, const KvPageTable& dst, int dst_pos,
+                  int n);
+
 /// Key/Value cache for one layer (paper Sec. II-A): stores the projected
 /// K and V rows of all past positions so autoregressive decoding avoids
 /// recomputation. `dim` is P*H for the reference model or the per-chip
 /// slice P*H/N under the head partitioning — the cache itself is
-/// partition-agnostic.
+/// partition-agnostic. Its storage is one KV page of `max_positions`
+/// positions, so a dense cache is the one-page case of a paged one.
 class KvCache {
  public:
   KvCache(int max_positions, int dim);
@@ -48,19 +104,11 @@ class KvCache {
   [[nodiscard]] kernels::ConstView k_view(int c0, int c1) const;
   [[nodiscard]] kernels::ConstView v_view(int c0, int c1) const;
 
+  /// Mark positions [0, length) filled and return the storage as a
+  /// one-page table, through which the caller writes the new rows.
+  [[nodiscard]] KvPageView extend(int length);
+
   void reset() { length_ = 0; }
-
-  /// Overwrite this cache's state (filled rows + length) from a
-  /// same-shape snapshot — the restore half of preemptive serving's
-  /// checkpoint/resume. Rows past the snapshot's length are outside the
-  /// filled prefix and never read, so they are left untouched.
-  void copy_state_from(const KvCache& src);
-
-  /// Overwrite only the first `positions` rows from a same-shape source
-  /// and set length to `positions` — adopting a shared prompt prefix
-  /// without disturbing (or paying for) the rest of the cache. Requires
-  /// `positions <= src.length()`.
-  void copy_prefix_from(const KvCache& src, int positions);
 
   /// Bytes this cache occupies at `elem_bytes` per element, for the full
   /// capacity (what the memory planner must reserve).
@@ -69,101 +117,11 @@ class KvCache {
            elem_bytes;
   }
 
-  /// Bytes of the filled prefix at `elem_bytes` per element — the KV
-  /// traffic an eviction checkpoint (or its resume) must move off/on
-  /// chip.
-  [[nodiscard]] Bytes filled_bytes(Bytes elem_bytes) const {
-    return 2ull * static_cast<Bytes>(length_) * static_cast<Bytes>(dim_) *
-           elem_bytes;
-  }
-
-  /// Packed-layout variants: bytes at `elem_bits` bits per entry. These
-  /// are what quantized-KV deployments charge the shared arena (and the
-  /// checkpoint DMA) instead of the byte-width forms above.
-  [[nodiscard]] Bytes capacity_packed_bytes(int elem_bits) const {
-    return packed_kv_bytes(2ull * static_cast<std::uint64_t>(max_positions_) *
-                               static_cast<std::uint64_t>(dim_),
-                           elem_bits);
-  }
-  [[nodiscard]] Bytes filled_packed_bytes(int elem_bits) const {
-    return packed_kv_bytes(2ull * static_cast<std::uint64_t>(length_) *
-                               static_cast<std::uint64_t>(dim_),
-                           elem_bits);
-  }
-
  private:
   int max_positions_;
   int dim_;
   int length_ = 0;
-  Tensor k_store_;
-  Tensor v_store_;
-};
-
-/// Pre-built pool of per-request cache sets for multi-request serving.
-/// One "set" is everything a single generation stream needs across the
-/// whole deployment — indexed [chip][layer], the shape
-/// partition::DistributedBlock::make_chip_caches produces. The pool
-/// builds every set once at construction (no allocation during serving)
-/// and recycles sets between requests via reset. In multi-model serving
-/// each deployed model keys its own pool (cache shapes differ per
-/// model); the pool tracks its free sets itself via acquire_set /
-/// release_set (lowest-free-index, deterministic), while the shared
-/// *byte budget* across all models' pools lives with the engine's
-/// tenant-tagged mem::PagedKvArena so the accounting and the tensors
-/// cannot drift apart.
-class KvCachePool {
- public:
-  using CacheSet = std::vector<std::vector<KvCache>>;
-
-  KvCachePool(int n_slots, const std::function<CacheSet()>& build_set);
-
-  [[nodiscard]] int capacity() const { return static_cast<int>(slots_.size()); }
-  [[nodiscard]] CacheSet& slot(int i);
-
-  /// Empty every cache in a set before handing it to a new request.
-  void reset_slot(int i);
-
-  /// Overwrite set `i` from a snapshot taken off a same-shape set
-  /// (shape-checked cache by cache) — resuming a preempted request
-  /// restores its KV contents bit-exactly before its next decode step.
-  void restore_slot(int i, const CacheSet& snapshot);
-
-  /// Overwrite only the first `positions` rows of every cache in set `i`
-  /// from the snapshot and set each length to `positions` — the
-  /// copy-on-write fork of paged prefix sharing: the adopted prefix is
-  /// bit-identical to the donor's, everything past it belongs to the new
-  /// request.
-  void restore_prefix(int i, const CacheSet& snapshot, int positions);
-
-  /// Bytes of set `i`'s filled prefixes (all chips, all layers) at
-  /// `elem_bytes` per element — the eviction-checkpoint traffic of the
-  /// request currently holding the set.
-  [[nodiscard]] Bytes set_filled_bytes(int i, Bytes elem_bytes);
-
-  /// Packed-layout variant of set_filled_bytes: the checkpoint traffic
-  /// when the tenant stores KV entries at `elem_bits` bits each.
-  [[nodiscard]] Bytes set_filled_packed_bytes(int i, int elem_bits);
-
-  /// Lowest free set index, or nullopt when every set is handed out.
-  [[nodiscard]] std::optional<int> acquire_set();
-
-  /// Return a set obtained from acquire_set (throws on double release).
-  void release_set(int i);
-
-  [[nodiscard]] int sets_in_use() const { return sets_in_use_; }
-
-  /// Bytes one set reserves at full capacity (all chips, all layers) —
-  /// what the serving engine's arena charges per slot.
-  [[nodiscard]] Bytes set_capacity_bytes(Bytes elem_bytes) const;
-
-  /// Packed-layout variant of set_capacity_bytes: what one set costs the
-  /// arena when KV entries are stored at `elem_bits` bits each.
-  [[nodiscard]] Bytes set_capacity_packed_bytes(int elem_bits) const;
-
- private:
-  std::vector<CacheSet> slots_;
-  std::vector<bool> set_in_use_;
-  int sets_in_use_ = 0;
+  Tensor kv_;  // [2 * max_positions, dim]: K rows, then V rows
 };
 
 }  // namespace distmcu::model

@@ -95,7 +95,8 @@ Tensor ReferenceModel::mhsa(const Tensor& x, int layer, std::vector<KvCache>* ca
     }
     Tensor oh(s, p);
     std::vector<float> scores(static_cast<std::size_t>(s) * static_cast<std::size_t>(kh.rows));
-    kernels::attention_head(qh.view(), kh, vh, oh.view(), causal, pos_offset, scores);
+    kernels::attention_head(qh.view(), {&kh, 1}, {&vh, 1}, oh.view(), causal, pos_offset,
+                            scores);
     for (int r = 0; r < s; ++r) {
       for (int c = 0; c < p; ++c) ctx.at(r, h * p + c) = oh.at(r, c);
     }

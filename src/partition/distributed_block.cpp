@@ -79,6 +79,16 @@ std::vector<std::vector<model::KvCache>> DistributedBlock::make_chip_caches(
   return caches;
 }
 
+std::vector<std::size_t> DistributedBlock::kv_row_offsets() const {
+  std::vector<std::size_t> offsets{0};
+  for (int c = 0; c < plan_.num_chips(); ++c) {
+    for (int l = 0; l < cfg_.num_layers; ++l) {
+      offsets.push_back(offsets.back() + 2 * static_cast<std::size_t>(plan_.proj_width(c)));
+    }
+  }
+  return offsets;
+}
+
 void DistributedBlock::root_norm(std::span<const float> x, const model::Tensor& gamma,
                                  const model::Tensor& beta, std::span<float> out) const {
   const int e = cfg_.embed_dim;
@@ -138,24 +148,34 @@ void DistributedBlock::attend(ForwardWorkspace& ws, std::span<const float> x, in
 
   const bool causal = cfg_.mask == model::MaskKind::causal;
   const bool packed_kv = int8_ != nullptr && int8_->kv_bits() <= quant::kInt8Bits;
+  const auto slice = static_cast<std::size_t>(chip) * static_cast<std::size_t>(cfg_.num_layers) +
+                     static_cast<std::size_t>(layer);
   int row0 = 0;
   for (const RowGroup& g : groups) {
     const int r1 = row0 + g.rows;
+    const int len = g.pos_offset + g.rows;
     const kernels::View qg = q.row_range(row0, r1);
     const kernels::View kg = k.row_range(row0, r1);
     const kernels::View vg = v.row_range(row0, r1);
-    model::KvCache* cache =
-        g.caches == nullptr
-            ? nullptr
-            : &(*g.caches)[static_cast<std::size_t>(chip)][static_cast<std::size_t>(layer)];
+    // The group's KV rows of this chip and layer (a dense cache is the
+    // one-page table), and a position bound that sizes the RoPE table
+    // and the score scratch once, so neither grows as the request does.
+    model::KvPageView kv;
+    if (g.caches != nullptr) {
+      model::KvCache& cache =
+          (*g.caches)[static_cast<std::size_t>(chip)][static_cast<std::size_t>(layer)];
+      DISTMCU_CHECK(cache.length() == g.pos_offset,
+                    "DistributedBlock::forward: cache length != the group's position");
+      kv = cache.extend(len);
+    } else if (!g.pages.table.empty()) {
+      kv = g.pages.slice(slice);
+    }
+    const int bound = std::max(len, kv.base != nullptr ? cfg_.ar_context : g.rows);
     if (cfg_.pos == model::PosEmbed::rope) {
       // RoPE depends only on the absolute position, never on the head
       // index, so each chip rotates its own slice with no communication.
-      // A cache bounds every position, so the table is built once for
-      // all of them.
-      const int positions = cache != nullptr ? cache->capacity() : g.pos_offset + g.rows;
       const std::span<const float> angles =
-          rope_table(ws, std::max(positions, g.pos_offset + g.rows))
+          rope_table(ws, bound)
               .subspan(static_cast<std::size_t>(g.pos_offset) * static_cast<std::size_t>(p),
                        static_cast<std::size_t>(g.rows) * static_cast<std::size_t>(p));
       for (int h = 0; h < local_heads; ++h) {
@@ -176,25 +196,37 @@ void DistributedBlock::attend(ForwardWorkspace& ws, std::span<const float> x, in
         }
       }
     }
-    if (cache != nullptr) {
-      const auto width = static_cast<std::size_t>(pw);
-      for (int r = 0; r < g.rows; ++r) {
-        cache->append({kg.row(r), width}, {vg.row(r), width});
-      }
+    // Append through the page table, then attend page by page: one
+    // segment per page the group's positions reach (its own rows alone
+    // without KV).
+    for (int r = 0; kv.base != nullptr && r < g.rows; ++r) {
+      std::copy(kg.row(r), kg.row(r) + pw, kv.k_row(g.pos_offset + r));
+      std::copy(vg.row(r), vg.row(r) + pw, kv.v_row(g.pos_offset + r));
     }
-    // Scores sized for the cache's capacity, not its current length, so
-    // the buffer stops growing once each group size has been seen.
-    const int kv_rows = cache != nullptr ? cache->capacity() : g.rows;
+    const int pt = kv.base != nullptr ? kv.page_tokens : bound;
+    const auto n_segs = static_cast<std::size_t>((len + pt - 1) / pt);
+    const auto max_segs = static_cast<std::size_t>((bound + pt - 1) / pt);
+    const std::span<kernels::ConstView> k_segs =
+        ForwardWorkspace::take(ws.k_segs, max_segs).first(n_segs);
+    const std::span<kernels::ConstView> v_segs =
+        ForwardWorkspace::take(ws.v_segs, max_segs).first(n_segs);
     const std::span<float> scores = ForwardWorkspace::take(
-        ws.scores, static_cast<std::size_t>(g.rows) * static_cast<std::size_t>(kv_rows));
+        ws.scores, static_cast<std::size_t>(g.rows) * static_cast<std::size_t>(bound));
     for (int h = 0; h < local_heads; ++h) {
       const int c0 = h * p;
       const int c1 = c0 + p;
-      const kernels::ConstView kh = cache != nullptr ? cache->k_view(c0, c1)
-                                                     : kernels::ConstView(kg.col_range(c0, c1));
-      const kernels::ConstView vh = cache != nullptr ? cache->v_view(c0, c1)
-                                                     : kernels::ConstView(vg.col_range(c0, c1));
-      kernels::attention_head(qg.col_range(c0, c1), kh, vh,
+      if (kv.base == nullptr) {
+        k_segs[0] = kg.col_range(c0, c1);
+        v_segs[0] = vg.col_range(c0, c1);
+      } else {
+        for (std::size_t i = 0; i < n_segs; ++i) {
+          const int seg_rows = std::min(pt, len - static_cast<int>(i) * pt);
+          const float* page = kv.page(static_cast<int>(i));
+          k_segs[i] = kernels::ConstView(page + c0, seg_rows, p, pw);
+          v_segs[i] = kernels::ConstView(page + kv.v_offset() + c0, seg_rows, p, pw);
+        }
+      }
+      kernels::attention_head(qg.col_range(c0, c1), k_segs, v_segs,
                               ctx.row_range(row0, r1).col_range(c0, c1), causal,
                               g.pos_offset, scores);
     }

@@ -28,15 +28,16 @@ struct CommRecord {
 };
 
 /// One request's rows inside a stacked forward: the groups of a forward
-/// sit back to back in its input, in order. `caches` (indexed
-/// [chip][layer], dim = each chip's proj_width) receives the group's K/V
-/// rows and is what its queries attend over; null makes the rows attend
-/// only among themselves (encode's case). `pos_offset` is the absolute
-/// position of the group's first row.
+/// sit back to back in its input, in order. Its K/V rows are appended at
+/// positions [pos_offset, pos_offset + rows) and its queries attend over
+/// [0, pos_offset + rows), through the page table `pages` (the serving
+/// engine's row store) or the dense set `caches` ([chip][layer], the
+/// one-page case); with neither, the rows attend among themselves.
 struct RowGroup {
   std::vector<std::vector<model::KvCache>>* caches = nullptr;
   int pos_offset = 0;
   int rows = 0;
+  model::KvPageTable pages{};
 };
 
 /// Scratch of the stacked forward, owned by its caller (a serving
@@ -49,6 +50,7 @@ struct ForwardWorkspace {
   std::vector<float> x, y, logits;
   std::vector<float> normed, h, q, k, v, scores, hidden, gate;
   std::vector<std::vector<float>> ctx;       // one [rows, pw] context per chip
+  std::vector<kernels::ConstView> k_segs, v_segs;  // one head's KV, page by page
   std::vector<std::vector<float>> partials;  // one [rows, E] buffer per chip
   std::vector<std::span<float>> views;       // the partials, for the collectives
   /// A8W8 only: the int8 FFN input and GEMM activations, the W1
@@ -132,6 +134,10 @@ class DistributedBlock {
   /// Per-chip, per-layer KV caches sized for each chip's head slice.
   [[nodiscard]] std::vector<std::vector<model::KvCache>> make_chip_caches(
       int capacity) const;
+
+  /// This partition's KV page row layout (model::KvPageTable::row_offsets):
+  /// 2 * proj_width floats per position for each chip and layer, in order.
+  [[nodiscard]] std::vector<std::size_t> kv_row_offsets() const;
 
   [[nodiscard]] const PartitionPlan& plan() const { return plan_; }
   [[nodiscard]] const noc::Topology& topology() const { return topo_; }

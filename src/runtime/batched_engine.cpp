@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <ranges>
 
 #include "analysis/deployment_analyzer.hpp"
 #include "util/check.hpp"
@@ -48,24 +49,11 @@ BatchedEngine::Tenant BatchedEngine::build_tenant(const ModelDeployment& dep,
   t.quota = share.quota;
   t.cap = share.cap;
 
-  // Validate the pooled-KV fit for both serving phases BEFORE any cache
-  // tensors are allocated.
+  // Validate the resident-KV fit for both serving phases.
   for (const FitPlan& fp : t.fit_plans) {
     check_pool_fits(fp, t.cap, t.chip_page_bytes, t.name);
   }
-
-  // Physical cache sets, one pool per model (functional isolation); the
-  // shared byte budget is charged by the engine's tenant-tagged arena.
-  const InferenceSession& session = *t.session;
-  t.pool.emplace(t.cap, [&session] {
-    return session.make_chip_caches(session.config().ar_context);
-  });
-  t.kv_set_bytes = t.pool->set_capacity_packed_bytes(t.kv_elem_bits);
-  // Exact: a set's capacity is 2 * ctx * dim * elem summed over caches,
-  // so the per-context division has no remainder.
-  t.page_bytes = t.kv_set_bytes /
-                 static_cast<Bytes>(session.config().ar_context) *
-                 static_cast<Bytes>(t.page_tokens);
+  t.kv_row_offsets = t.session->block_executor().kv_row_offsets();
   return t;
 }
 
@@ -125,7 +113,9 @@ BatchedEngine::BatchedEngine(const ModelRegistry& registry, MultiOptions opts,
         // Uniform pages across tenants, sized for the largest, so page
         // indices stay interchangeable across models.
         Bytes slab = 0;
-        for (const Tenant& t : tenants_) slab = std::max(slab, t.page_bytes);
+        for (const Tenant& t : tenants_) {
+          slab = std::max(slab, t.kv_token_bytes * static_cast<Bytes>(t.page_tokens));
+        }
         return slab;
       }()),
       // Size the arena for total_kv_slots aligned page reservations
@@ -135,6 +125,10 @@ BatchedEngine::BatchedEngine(const ModelRegistry& registry, MultiOptions opts,
                     mem::Arena::align_up(slab_bytes_,
                                          mem::Arena::kDefaultAlignment)),
       kv_pages_(kv_arena_, "kv_page", opts_.total_kv_slots, slab_bytes_),
+      kv_page_stride_(std::ranges::max(tenants_ | std::views::transform([](const Tenant& t) {
+                        return model::kv_page_floats(t.kv_row_offsets, t.page_tokens);
+                      }))),
+      kv_rows_(static_cast<std::size_t>(opts_.total_kv_slots) * kv_page_stride_),
       pipeline_(1.0, 0, static_cast<int>(tenants_.size())) {
   // A whole-context page never fills from a prompt, so sharing has
   // nothing to donate without an explicit page size.
@@ -211,6 +205,23 @@ int BatchedEngine::prefix_cache_pages() const {
   return static_cast<int>(pages.size());
 }
 
+std::vector<float> BatchedEngine::kv_rows(RequestId id) const {
+  std::vector<float> rows;
+  for (const Inflight& r : active_) {
+    if (r.id != id) continue;
+    const auto pages = page_table(tenants_[static_cast<std::size_t>(r.model)], r.pages);
+    model::copy_kv_rows(pages, 0, pages.compact(rows, r.written_rows()), 0, r.written_rows());
+  }
+  return rows;
+}
+
+model::KvPageTable BatchedEngine::page_table(const Tenant& t,
+                                             std::span<const int> pages) const {
+  // Writable rows from a const engine: kv_rows only reads through them.
+  return {const_cast<float*>(kv_rows_.data()), kv_page_stride_, t.page_tokens, pages,
+          t.kv_row_offsets};
+}
+
 int BatchedEngine::prefix_cache_entries() const {
   int n = 0;
   for (const Tenant& t : tenants_) {
@@ -285,11 +296,16 @@ BatchedEngine::AdmitPlan BatchedEngine::plan_admission(
     // construction at eviction) can be re-referenced from any registry
     // entry whose prompt still matches; otherwise they are refetched
     // from the L3 backing store into private pages.
+    // A8W8 rows also depend on the other rows of their prefill chunk
+    // (one activation scale per row group), so an int8 request takes back
+    // only an entry of its own prompt, whose rows are its own.
     const int sp = p.shared_resident_tokens / pt;
     plan.shared_tokens = p.shared_resident_tokens;
+    const bool rows_need_whole_prompt = t.session->precision() == Precision::int8;
     if (sp > 0) {
       for (std::size_t i = 0; i < t.prefix_cache.size(); ++i) {
         const Tenant::PrefixEntry& e = t.prefix_cache[i];
+        if (rows_need_whole_prompt && e.tokens != p.prompt) continue;
         if (static_cast<int>(e.pages.size()) >= sp &&
             common_prefix(e.tokens, p.prompt) >= p.shared_resident_tokens) {
           plan.entry = static_cast<int>(i);
@@ -500,18 +516,12 @@ const std::vector<KvBudgetPolicy::TenantView>& BatchedEngine::budget_views()
 
 bool BatchedEngine::admissible_now(
     const Inflight& p, const std::vector<KvBudgetPolicy::TenantView>& views,
-    int free_pages, int freed_sets) const {
+    int free_pages) const {
   if (free_pages <= 0) return false;
-  const auto m = static_cast<std::size_t>(p.model);
   // The whole first-step page requirement (net of adoptable shared
-  // pages) must be grantable at once, and the tenant's functional pool
-  // must have a cache set left — page occupancy does not track set
-  // occupancy one-to-one (a request holding only shared references
-  // charges zero pages).
-  if (tenants_[m].pool->sets_in_use() - freed_sets >=
-      tenants_[m].pool->capacity()) {
-    return false;
-  }
+  // pages) must be grantable at once. It always includes a private
+  // page (checked at admission), so a tenant's active requests never
+  // outnumber its pages, nor its cap.
   const AdmitPlan plan = plan_admission(p);
   return can_grant_pages(p.model, views, free_pages,
                          plan.need_pages - plan.shared_pages);
@@ -534,10 +544,7 @@ bool BatchedEngine::admits_after_evicting(
   }
   vv.in_use -= freed;
   ++vv.pending;
-  // The victim's cache set returns to its tenant's pool too.
-  const int freed_sets = victim.model == starved.model ? 1 : 0;
-  return admissible_now(starved, evict_views_, kv_pages_.free() + freed,
-                        freed_sets);
+  return admissible_now(starved, evict_views_, kv_pages_.free() + freed);
 }
 
 Cycles BatchedEngine::remaining_cost(const Inflight& r) const {
@@ -659,13 +666,13 @@ void BatchedEngine::evict_active(std::size_t idx, int /*step_idx*/,
   Inflight r = std::move(active_[idx]);
   active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(idx));
   Tenant& t = tenants_[static_cast<std::size_t>(r.model)];
-  r.checkpoint_bytes = t.pool->set_filled_packed_bytes(r.set, t.kv_elem_bits);
+  const int written = r.written_rows();
+  r.checkpoint_bytes = static_cast<Bytes>(written) * t.kv_token_bytes;
   // Rows resident in shared pages are not checkpoint traffic: the pages
   // stay mapped under the prefix registry (or other sharers) and a
   // resume re-references them. Only whole leading shared pages count — a
   // partial private page's rows must move either way — and the shared
   // span is kept page-aligned so the resume bookkeeping stays exact.
-  const int written = r.prefill_done() ? r.pos : r.prefill_pos;
   int lead = 0;
   while (lead < static_cast<int>(r.pages.size()) &&
          kv_pages_.refcount(r.pages[static_cast<std::size_t>(lead)]) >= 2) {
@@ -673,11 +680,14 @@ void BatchedEngine::evict_active(std::size_t idx, int /*step_idx*/,
   }
   const int pt = t.page_tokens;
   const int shared_tok = std::min((written / pt) * pt, lead * pt);
-  const Bytes per_token =
-      t.kv_set_bytes / static_cast<Bytes>(t.session->config().ar_context);
-  r.checkpoint_bytes -= static_cast<Bytes>(shared_tok) * per_token;
+  r.checkpoint_bytes -= static_cast<Bytes>(shared_tok) * t.kv_token_bytes;
   r.shared_resident_tokens = shared_tok;
-  r.checkpoint = t.pool->slot(r.set);  // deep copy of the functional KV
+  // Every written row is copied, shared ones included: the registry may
+  // drop the prefix while the request is out (the resume then charges
+  // those rows as restore traffic).
+  const model::KvPageTable pages = page_table(t, r.pages);
+  r.checkpoint.emplace();
+  model::copy_kv_rows(pages, 0, pages.compact(*r.checkpoint, written), 0, written);
   // Checkpoint traffic: the filled KV moves out through the chip's L3
   // DMA model (setup + bytes at the L3<->L2 bandwidth), charged to the
   // evicted request itself; in-flight staged fetches are pushed back by
@@ -701,8 +711,6 @@ void BatchedEngine::evict_active(std::size_t idx, int /*step_idx*/,
   r.pages.clear();
   r.shared_pages = 0;
   pm.kv_slots_reclaimed = kv_pages_.tenant_reclaimed(r.model);
-  t.pool->release_set(r.set);
-  r.set = -1;
   ++r.times_evicted;
   ++stats_.preemptions;
   ++pm.preemptions;
@@ -821,8 +829,6 @@ void BatchedEngine::finish(Inflight& r, int step_idx) {
   for (const int pg : r.pages) kv_pages_.release(pg, r.model);
   r.pages.clear();
   r.shared_pages = 0;
-  tenants_[static_cast<std::size_t>(r.model)].pool->release_set(r.set);
-  r.set = -1;
   RequestResult out;
   out.id = r.id;
   out.model = r.model;
@@ -884,7 +890,7 @@ void BatchedEngine::stack_rows(const Inflight& r, std::span<const int> toks,
                                int pos_offset) {
   Tenant& t = tenants_[static_cast<std::size_t>(r.model)];
   t.stack_groups.push_back(
-      {&t.pool->slot(r.set), pos_offset, static_cast<int>(toks.size())});
+      {nullptr, pos_offset, static_cast<int>(toks.size()), page_table(t, r.pages)});
   t.stack_ids.insert(t.stack_ids.end(), toks.begin(), toks.end());
 }
 
@@ -942,11 +948,10 @@ void BatchedEngine::admit_pending(int step_idx, double& step_energy) {
     // the request (no registry drops happen mid-loop), so the plan the
     // budget approved is the plan acquired below.
     const AdmitPlan plan = plan_admission(r);
-    const auto set = t.pool->acquire_set();
-    DISTMCU_CHECK(set.has_value(),
-                "BatchedEngine['" + t.name + "']: budget admitted a request "
-                "beyond the model's cache-set cap");
-    r.set = *set;
+    // The premise that lets page accounting alone bound a tenant's
+    // active requests by its cap: every admission holds a private page.
+    DISTMCU_CHECK(plan.need_pages > plan.shared_pages,
+                  "BatchedEngine['" + t.name + "']: admission plan grants no private page");
     const bool resuming = r.checkpoint.has_value();
     if (!resuming) {
       r.admitted_step = step_idx;
@@ -959,7 +964,6 @@ void BatchedEngine::admit_pending(int step_idx, double& step_energy) {
       // the whole life of the request, evictions included.)
       r.admitted_at = pipeline_.now();
     }
-    t.pool->reset_slot(r.set);
     auto& pm = stats_.per_model[static_cast<std::size_t>(r.model)];
 
     Bytes restore_bytes = r.checkpoint_bytes;
@@ -979,7 +983,6 @@ void BatchedEngine::admit_pending(int step_idx, double& step_energy) {
         // Copy-on-write fork: adopt the donor's rows bit-exactly and skip
         // their prefill chunks entirely — that skip IS the prefix-sharing
         // win, so no cycles are charged here.
-        t.pool->restore_prefix(r.set, e.kv, plan.shared_tokens);
         r.prefill_pos = plan.shared_tokens;
         ++stats_.prefix_hits;
         stats_.prefix_shared_tokens += plan.shared_tokens;
@@ -992,9 +995,7 @@ void BatchedEngine::admit_pending(int step_idx, double& step_energy) {
       // shared rows now come back from the L3 backing store (which holds
       // every checkpointed block) into private pages, alongside the
       // checkpoint itself.
-      const Bytes per_token =
-          t.kv_set_bytes / static_cast<Bytes>(t.session->config().ar_context);
-      restore_bytes += static_cast<Bytes>(r.shared_resident_tokens) * per_token;
+      restore_bytes += static_cast<Bytes>(r.shared_resident_tokens) * t.kv_token_bytes;
     }
     if (resuming) r.shared_resident_tokens = 0;
     // Private pages up to the first step's requirement; growth takes over
@@ -1007,14 +1008,34 @@ void BatchedEngine::admit_pending(int step_idx, double& step_energy) {
       r.pages.push_back(*pg);
     }
     pm.kv_in_use_high_water = kv_pages_.tenant_high_water(r.model);
+    // Rows the shared pages do not hold: a fork's adopted rows past its
+    // whole pages (from the donor's pinned page, or the entry's tail
+    // past its pages) into its first private page; a resume's rows from
+    // its checkpoint.
+    const model::KvPageTable pages = page_table(t, r.pages);
+    const int shared_rows = r.shared_pages * t.page_tokens;
+    if (resuming) {
+      const int n = r.written_rows();
+      model::copy_kv_rows(pages.compact(*r.checkpoint, n), shared_rows, pages, shared_rows,
+                          n - shared_rows);
+    } else if (r.prefill_pos > shared_rows) {
+      Tenant::PrefixEntry& e = t.prefix_cache[static_cast<std::size_t>(plan.entry)];
+      const int whole = static_cast<int>(e.pages.size()) * t.page_tokens;
+      const int n = r.prefill_pos - shared_rows;
+      if (shared_rows < whole) {
+        model::copy_kv_rows(page_table(t, e.pages), shared_rows, pages, shared_rows, n);
+      } else {
+        model::copy_kv_rows(pages.compact(e.tail, static_cast<int>(e.tokens.size()) - whole),
+                            shared_rows - whole, pages, shared_rows, n);
+      }
+    }
 
     if (resuming) {
-      // Resume: restore the checkpointed KV into the fresh set and
-      // charge the restore traffic symmetrically to the eviction; the
+      // Resume (its rows were written back above): charge the restore
+      // traffic symmetrically to the eviction; the
       // request then rejoins decode at the next boundary with its
       // pending token intact, so its stream is bit-exact.
       const Cycles resume_begin = pipeline_.now();
-      t.pool->restore_slot(r.set, *r.checkpoint);
       const Cycles c =
           restore_bytes > 0
               ? t.session->system().chip.l3_dma_cycles(restore_bytes)
@@ -1176,11 +1197,14 @@ void BatchedEngine::donate_prefix(const Inflight& r) {
   e.tokens = r.prompt;
   e.pages.assign(r.pages.begin(), r.pages.begin() + k);
   for (const int pg : e.pages) kv_pages_.add_ref(pg);
-  // Deep copy of the donor's KV rows for later functional forks. The
-  // donor never rewrites rows below its prompt length (KV is append-
-  // only), so the shared pages stay read-only by construction; donation
-  // itself costs nothing — the pages simply stay resident.
-  e.kv = t.pool->slot(r.set);
+  // The donor never rewrites rows below its prompt length (KV is append-
+  // only), so the pinned pages stay read-only by construction. The rows
+  // past them sit in the donor's private page, which it frees when it
+  // finishes: the entry keeps its own copy for forks that end there.
+  // Donation itself costs nothing — the pages simply stay resident.
+  const int whole = k * t.page_tokens;
+  const model::KvPageTable pages = page_table(t, r.pages);
+  model::copy_kv_rows(pages, whole, pages.compact(e.tail, len - whole), 0, len - whole);
   e.last_use = ++prefix_clock_;
   t.prefix_cache.push_back(std::move(e));
 }

@@ -253,10 +253,10 @@ struct ServingStats {
 ///   auto b = engine.submit({.model = bert, .prompt = {5, 9, 2, 4}});
 ///   auto results = engine.run_to_completion();
 ///
-/// Functional contract: every request decodes against its own pooled
-/// KV-cache set from its model's KvCachePool, so its token stream is
-/// bit-identical to an independent InferenceSession::generate call
-/// regardless of what else shares the batch — across models included.
+/// Functional contract: every request appends and attends to its own KV
+/// rows through its page table, so its token stream is bit-identical to
+/// an independent InferenceSession::generate call regardless of what else
+/// shares the batch — across models included.
 ///
 /// Cost model (per engine step, from TimedBlockSimulation block
 /// reports): a step is a heterogeneous multi-model batch. Models take
@@ -286,13 +286,13 @@ struct ServingStats {
 /// (KV contents + position, charged as L3 traffic on the shared port)
 /// and later re-admitted to resume with a bit-identical token stream.
 ///
-/// KV-cache sets come from per-model pools sized at construction; the
-/// byte reservation is charged to a shared mem::Arena through one
-/// tenant-tagged mem::PagedKvArena (uniform pages sized for the largest
-/// tenant's page — the MCUBERT-style static shared-pool discipline). By
-/// default a page spans a model's whole context, so each request holds
-/// exactly one. Admission beyond the budget queues and submits beyond
-/// the queue bound are rejected gracefully (nullopt, no UB).
+/// The KV rows live in one page-indexed row store beside a tenant-tagged
+/// mem::PagedKvArena that charges the byte reservation to a shared
+/// mem::Arena (uniform pages sized for the largest tenant's page — the
+/// MCUBERT-style static shared-pool discipline). By default a page spans
+/// a model's whole context, so each request holds exactly one. Admission
+/// beyond the budget queues and submits beyond the queue bound are
+/// rejected gracefully (nullopt, no UB).
 /// Construction throws PlanError when any model's cap of resident KV
 /// pages does not fit its deployment's L2 next to the single-request
 /// plan the memory planner already validated.
@@ -445,6 +445,11 @@ class BatchedEngine {
   [[nodiscard]] int prefix_cache_pages() const;
   /// Registered prompt-prefix entries across all tenants.
   [[nodiscard]] int prefix_cache_entries() const;
+  /// Read-only compact copy of active request `id`'s KV rows, read in
+  /// position order through its page table: the n positions it has
+  /// written, laid out [chip][layer][K|V][n][proj_width(chip)]. Empty
+  /// when `id` is not active.
+  [[nodiscard]] std::vector<float> kv_rows(RequestId id) const;
 
   [[nodiscard]] int model_count() const { return static_cast<int>(tenants_.size()); }
   [[nodiscard]] const std::string& model_name(ModelId m) const;
@@ -499,7 +504,6 @@ class BatchedEngine {
     int prefill_pos = 0;  // prompt tokens already prefilled (chunked mode)
     int pos = 0;          // absolute position of the next decoded token
     int next = -1;        // pending token, emitted at the next boundary
-    int set = -1;         // its model's KvCachePool set while active
     Cycles cycles = 0;    // attributed simulated cost
     double energy_mj = 0.0;
     int admitted_step = -1;
@@ -520,13 +524,12 @@ class BatchedEngine {
     /// it so a request that merely commits its final token is not
     /// charged the rest of the step.
     Cycles work_done_at = 0;
-    /// Preemption state: a deep copy of the request's KV set taken at
-    /// eviction (functional state; the generation bookkeeping —
-    /// tokens, pos, next — stays in this struct), the filled bytes the
-    /// checkpoint and its resume each move over the L3 port, and how
-    /// many times the request has been evicted so far. Empty on the
-    /// non-preempted path.
-    std::optional<model::KvCachePool::CacheSet> checkpoint;
+    /// Preemption state: a compact copy of every KV row written before
+    /// eviction (model::KvPageTable::compact; tokens, pos and next stay
+    /// in this struct), the filled bytes the checkpoint and its resume
+    /// each move over the L3 port, and how many times the request has
+    /// been evicted so far. Empty on the non-preempted path.
+    std::optional<std::vector<float>> checkpoint;
     Bytes checkpoint_bytes = 0;
     int times_evicted = 0;
     /// Page state: the request's page table (physical page
@@ -546,6 +549,8 @@ class BatchedEngine {
     [[nodiscard]] bool prefill_done() const {
       return prefill_pos >= static_cast<int>(prompt.size());
     }
+    /// Token positions whose KV rows the request has written.
+    [[nodiscard]] int written_rows() const { return prefill_done() ? pos : prefill_pos; }
     /// Start the output stream once the prompt is prefilled, its whole
     /// length reserved so decode steps never reallocate it.
     void start_stream() {
@@ -564,8 +569,8 @@ class BatchedEngine {
 
   /// One deployed model's serving state: its session, its TenantPlan
   /// (block-program cost decomposition and page sizing; the fit plans
-  /// are dropped once construction has checked them), its KvCachePool,
-  /// and its staged-weights prefetch channel. Index in tenants_ ==
+  /// are dropped once construction has checked them), its KV row
+  /// layout, and its staged-weights prefetch channel. Index in tenants_ ==
   /// ModelId == PagedKvArena tenant tag == pipeline channel.
   struct Tenant : TenantPlan {
     const InferenceSession* session = nullptr;
@@ -575,27 +580,22 @@ class BatchedEngine {
     std::shared_ptr<const InferenceSession> owned_session;
     std::string name;
 
-    /// Physical cache sets (functional state) — strictly this model's;
-    /// the shared budget lives in the engine's PagedKvArena. Optional
-    /// only because pools are built after the L2 fit check.
-    std::optional<model::KvCachePool> pool;
-    Bytes kv_set_bytes = 0;  // one pooled set at full capacity
+    /// Row layout of this model's pages in the engine's row store
+    /// (model::KvPageTable::row_offsets).
+    std::vector<std::size_t> kv_row_offsets;
     int quota = 0;  // static-split reserve, in pages
-    int cap = 0;    // hard ceiling on concurrent pages (== pool size)
-    /// Arena-charged bytes of one page: kv_set_bytes scaled by
-    /// page_tokens/ar_context (exact, the set capacity is a multiple of
-    /// the context).
-    Bytes page_bytes = 0;
+    int cap = 0;    // hard ceiling on concurrent pages
 
     /// One registered shareable prompt prefix: its token string, the
-    /// read-only physical pages holding its KV (each add_ref'd by the
-    /// registry itself, so they stay resident while registered), a deep
-    /// copy of the donor's KV rows for the functional fork, and an LRU
-    /// stamp from the engine's monotone prefix clock.
+    /// read-only physical pages holding its whole pages' KV (each
+    /// add_ref'd by the registry itself, so they stay resident while
+    /// registered), a compact copy of the rows past them (fewer than a
+    /// page; a fork ending there adopts them), and an LRU stamp from the
+    /// engine's monotone prefix clock.
     struct PrefixEntry {
       std::vector<int> tokens;
       std::vector<int> pages;
-      model::KvCachePool::CacheSet kv;
+      std::vector<float> tail;
       std::uint64_t last_use = 0;
     };
     /// Registered prefixes of this tenant (prefix_sharing only), bounded
@@ -633,8 +633,7 @@ class BatchedEngine {
   /// tenant-LRU entry is dropped at donation time.
   static constexpr int kPrefixCacheCap = 8;
 
-  /// Plan `dep`, check its L2 fit at `share.cap` resident pages, and
-  /// allocate its pool.
+  /// Plan `dep` and check its L2 fit at `share.cap` resident pages.
   [[nodiscard]] static Tenant build_tenant(const ModelDeployment& dep,
                                            KvShare share, int kv_page_tokens);
 
@@ -654,11 +653,10 @@ class BatchedEngine {
       const;
   /// Whether the budget would grant `p` its first step's pages right
   /// now, given the snapshot (false when too few pages are free or p's
-  /// model is at cap). `freed_sets` cache sets of p's model count as
-  /// returned to its pool.
+  /// model is at cap).
   [[nodiscard]] bool admissible_now(
       const Inflight& p, const std::vector<KvBudgetPolicy::TenantView>& views,
-      int free_pages, int freed_sets = 0) const;
+      int free_pages) const;
   /// Whether evicting `victim` would let the budget admit `starved`
   /// (simulates the post-eviction snapshot of `views`; cross-model
   /// reclaim of watermark-borrowed pages included).
@@ -706,9 +704,12 @@ class BatchedEngine {
   /// false when no matching entry is registered.
   bool drop_lru_prefix_entry(ModelId only = -1);
   /// Register a just-prefilled prompt as a shareable prefix (chunked
-  /// tenants with prefix_sharing): add_ref its full pages and deep-
-  /// copy its KV rows into the tenant's registry.
+  /// tenants with prefix_sharing): add_ref its full pages and copy the
+  /// rows past them into the entry.
   void donate_prefix(const Inflight& r);
+  /// The page table of `pages` of tenant `t` in the row store.
+  [[nodiscard]] model::KvPageTable page_table(const Tenant& t,
+                                              std::span<const int> pages) const;
   /// Longest-common-prefix length of two token strings.
   [[nodiscard]] static int common_prefix(const std::vector<int>& a,
                                          const std::vector<int>& b);
@@ -723,8 +724,8 @@ class BatchedEngine {
   void maybe_preempt(int step_idx, double& step_energy);
   /// One trigger evaluation + eviction; true when a victim was evicted.
   bool attempt_preemption(int step_idx, double& step_energy);
-  /// Checkpoint active_[idx] out of its KV pages: deep-copy its KV set,
-  /// charge the checkpoint traffic to it on the L3 port, reclaim its
+  /// Checkpoint active_[idx] out of its KV pages: copy its written KV
+  /// rows, charge the checkpoint traffic to it on the L3 port, reclaim its
   /// tenant-tagged pages, and push it back to pending_ to resume later.
   void evict_active(std::size_t idx, int step_idx, double& step_energy);
   /// Fair load shedding on a full queue: drop the newest non-
@@ -771,8 +772,8 @@ class BatchedEngine {
   /// sched_chip; everything else stays on chip 0).
   void charge(Inflight& r, Cycles cycles, double energy_mj, sim::Category cat,
               const char* label, Cycles begin, int chip = 0);
-  /// Append `toks` at absolute position `pos_offset`, against r's KV
-  /// set, to its tenant's stack as one row group.
+  /// Append `toks` at absolute position `pos_offset`, against r's page
+  /// table, to its tenant's stack as one row group.
   void stack_rows(const Inflight& r, std::span<const int> toks, int pos_offset);
   /// Embed the tenant's stack and run it through every layer in one
   /// stacked forward — the functional path shared by prefills (whole
@@ -806,6 +807,11 @@ class BatchedEngine {
   Bytes slab_bytes_ = 0;
   mem::Arena kv_arena_;
   mem::PagedKvArena kv_pages_;
+  /// The KV rows themselves: one float buffer of kv_pages_.capacity()
+  /// pages, each kv_page_stride_ floats — the largest tenant's page, the
+  /// way slab_bytes_ sizes the arena — indexed by the same page numbers.
+  std::size_t kv_page_stride_ = 0;
+  std::vector<float> kv_rows_;
 
   /// Effective admission/budget policies: the configured ones, or the
   /// process-wide FIFO / static-split instances.

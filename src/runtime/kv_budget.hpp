@@ -40,7 +40,7 @@ class KvBudgetPolicy {
 
   /// Whether the policy can ever grant a tenant more pages than its
   /// static quota. The engine uses this to derive each tenant's default
-  /// cap (and so its KvCachePool size and L2 fit check): quota-bound
+  /// cap (and so its L2 fit check): quota-bound
   /// policies pin the cap to the quota, even under a higher explicit
   /// max_resident; borrowing policies to the whole arena.
   [[nodiscard]] virtual bool allows_borrowing() const { return true; }

@@ -31,7 +31,7 @@ struct ModelDeployment {
   /// deployments).
   int kv_quota = 0;
   /// Hard ceiling on concurrently held pages (bounds this tenant's
-  /// KvCachePool, its L2 fit check and the longest sequence submit()
+  /// active requests, its L2 fit check and the longest sequence submit()
   /// accepts), clamped to the arena. 0 = derived: the quota under the
   /// static-split policy, the whole arena under borrowing policies. A
   /// policy that never borrows also clamps an explicit value to the

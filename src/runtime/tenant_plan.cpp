@@ -48,6 +48,9 @@ TenantPlan plan_tenant(const ModelDeployment& dep, int kv_page_tokens) {
   t.chip_page_bytes = (chip_kv_bytes * static_cast<Bytes>(t.page_tokens) +
                        static_cast<Bytes>(ctx) - 1) /
                       static_cast<Bytes>(ctx);
+  t.kv_token_bytes = model::packed_kv_bytes(
+      2ull * static_cast<std::uint64_t>(cfg.num_layers * cfg.num_heads * cfg.head_dim),
+      t.kv_elem_bits);
   // With chunking the prompt phase materializes chunk-shaped activations
   // only, so its fit is checked at the chunk shape.
   if (prompt_block.has_value()) {

@@ -74,6 +74,9 @@ struct TenantPlan {
   /// under-reserve) — the per-page unit of every fit check.
   int page_tokens = 0;
   Bytes chip_page_bytes = 0;
+  /// Packed KV bytes of one token position, all chips and layers: a page
+  /// charges the arena page_tokens of them, a checkpoint its rows' worth.
+  Bytes kv_token_bytes = 0;
 
   /// The prompt (or first-chunk) and autoregressive plans, in that order.
   std::vector<FitPlan> fit_plans;

@@ -14,7 +14,9 @@
 #include <vector>
 
 #include "mem/arena.hpp"
+#include "mem/paged_arena.hpp"
 #include "model/kv_cache.hpp"
+#include "dense_kv.hpp"
 #include "registry_of.hpp"
 #include "runtime/batched_engine.hpp"
 #include "runtime/inference_session.hpp"
@@ -22,6 +24,8 @@
 #include "util/check.hpp"
 
 using namespace distmcu;
+using distmcu::testing::dedicated_kv;
+using distmcu::testing::kv_rows_match;
 using distmcu::testing::registry_of;
 using model::TransformerConfig;
 using runtime::BatchedEngine;
@@ -1041,23 +1045,56 @@ TEST(BatchedEngine, PromptModePlanGatesThePoolToo) {
 }
 
 TEST(KvCachePool, SlotsAreIndependentAndRecycled) {
-  model::KvCachePool pool(2, [] {
-    model::KvCachePool::CacheSet set(2);
-    for (auto& per_chip : set) per_chip.emplace_back(4, 8);
-    return set;
-  });
-  EXPECT_EQ(pool.capacity(), 2);
-  // One full set: 2 chips x 1 layer x (2 * 4 positions * 8 dims) bytes.
-  EXPECT_EQ(pool.set_capacity_bytes(1), 2u * 2u * 4u * 8u);
+  // The engine's KV store: one float buffer indexed by the pages of a
+  // mem::PagedKvArena, each request's rows reached through its page
+  // table. Requests' rows are independent, an append beyond a table
+  // throws, and a released page is recycled to the next request.
+  mem::Arena arena("kv", 4 * 64);
+  mem::PagedKvArena pages(arena, "kv_page", 4, 64);
+  // 2 chips x 1 layer, 8 columns each; pages of 2 positions.
+  const std::vector<std::size_t> offsets = {0, 16, 32};
+  constexpr int kPageTokens = 2;
+  const std::size_t stride = model::kv_page_floats(offsets, kPageTokens);
+  std::vector<float> store(4 * stride);
+  const auto table = [&](const std::vector<int>& t) {
+    return model::KvPageTable{store.data(), stride, kPageTokens, t, offsets};
+  };
+  const auto write = [&](const std::vector<int>& t, int positions, float value) {
+    for (std::size_t i = 0; i < table(t).slices(); ++i) {
+      const model::KvPageView kv = table(t).slice(i);
+      for (int p = 0; p < positions; ++p) {
+        std::fill(kv.k_row(p), kv.k_row(p) + kv.width, value);
+        std::fill(kv.v_row(p), kv.v_row(p) + kv.width, -value);
+      }
+    }
+  };
+  const auto holds = [&](const std::vector<int>& t, int positions, float value) {
+    for (std::size_t i = 0; i < table(t).slices(); ++i) {
+      const model::KvPageView kv = table(t).slice(i);
+      for (int p = 0; p < positions; ++p) {
+        for (int c = 0; c < kv.width; ++c) {
+          if (kv.k_row(p)[c] != value || kv.v_row(p)[c] != -value) return false;
+        }
+      }
+    }
+    return true;
+  };
 
-  const std::vector<float> row(8, 1.0f);
-  pool.slot(0)[0][0].append(row, row);
-  EXPECT_EQ(pool.slot(0)[0][0].length(), 1);
-  EXPECT_EQ(pool.slot(1)[0][0].length(), 0);  // other slot untouched
+  const std::vector<int> a = {*pages.acquire(0), *pages.acquire(0)};
+  const std::vector<int> b = {*pages.acquire(0)};
+  write(a, 4, 1.0f);
+  write(b, 2, 2.0f);
+  EXPECT_TRUE(holds(a, 4, 1.0f));
+  EXPECT_TRUE(holds(b, 2, 2.0f));  // the other request's rows untouched
+  EXPECT_THROW((void)table(b).slice(0).k_row(2), Error);
 
-  pool.reset_slot(0);
-  EXPECT_EQ(pool.slot(0)[0][0].length(), 0);
-  EXPECT_THROW((void)pool.slot(2), Error);
+  for (const int pg : a) pages.release(pg, 0);
+  const std::vector<int> c = {*pages.acquire(0)};
+  EXPECT_EQ(c.front(), a.front());  // lowest free page, recycled
+  write(c, 2, 3.0f);
+  EXPECT_TRUE(holds(c, 2, 3.0f));
+  EXPECT_TRUE(holds(b, 2, 2.0f));
+  EXPECT_EQ(pages.in_use(), 2);
 }
 
 // --- rate-metric edge cases (regressions) ---------------------------------
@@ -1266,7 +1303,15 @@ void expect_preemption_round_trip(int kv_page_tokens) {
       {.prompt = {3, 4}, .new_tokens = 2,
        .slo = {.priority = 0, .deadline_cycles = est_b + 2 * per_req}});
   ASSERT_TRUE(b.has_value());
-  const auto results = engine.run_to_completion();
+  // Each request's KV rows equal its dedicated run's at every boundary,
+  // before the eviction and after the resume rewrote them into a page.
+  const auto kv_a = dedicated_kv(session, {1, 2}, 12);
+  const auto kv_b = dedicated_kv(session, {3, 4}, 2);
+  while (engine.step()) {
+    EXPECT_TRUE(kv_rows_match(engine, *a, kv_a));
+    EXPECT_TRUE(kv_rows_match(engine, *b, kv_b));
+  }
+  const auto& results = engine.finished();
   ASSERT_EQ(results.size(), 2u);
 
   const auto& stats = engine.stats();
@@ -1308,9 +1353,9 @@ TEST(BatchedEngine, PreemptionEvictsAndResumesBitExact) {
 }
 
 TEST(BatchedEngine, PreemptionFreesTheVictimsPageAndCacheSet) {
-  // One full-context page per request with the tenant's pool full: the
-  // eviction must count the victim's cache set as freed, or the starved
-  // request never looks admissible and nothing is ever preempted.
+  // One full-context page per request with every page held: the eviction
+  // must count the victim's page (its only KV store) as freed, or the
+  // starved request never looks admissible and nothing is ever preempted.
   expect_preemption_round_trip(/*kv_page_tokens=*/streamed_llama().ar_context);
 }
 
@@ -1504,6 +1549,48 @@ TEST(BatchedEngine, PagedPrefixSharingAdoptsBitExact) {
             static_cast<long long>(engine.prefix_cache_pages()));
 }
 
+TEST(BatchedEngine, PagedKvRowsMatchDedicatedRunsAcrossCowForks) {
+  // Every active request's KV rows, read through its page table, equal a
+  // dedicated dense run's bit for bit at every step boundary — donors,
+  // a page-aligned adopter, and copy-on-write forks whose adopted rows
+  // past their shared pages come from the donor's pinned page or from
+  // the entry's copy of the rows past its whole pages.
+  const auto cfg = small_llama();
+  const InferenceSession session(cfg, 4);
+  BatchedEngine engine(registry_of(session, 1), {.total_kv_slots = 32,
+                                                 .max_pending = 16,
+                                                 .kv_page_tokens = 2,
+                                                 .prefix_sharing = true});
+  std::vector<std::pair<RequestId, std::vector<std::vector<model::KvCache>>>> live;
+  const auto serve = [&](const std::vector<std::vector<int>>& prompts) {
+    live.clear();
+    for (const auto& p : prompts) {
+      const auto id = engine.submit({.prompt = p, .new_tokens = 4});
+      ASSERT_TRUE(id.has_value());
+      live.emplace_back(*id, dedicated_kv(session, p, 4));
+    }
+    while (engine.step()) {
+      for (const auto& [id, dense] : live) EXPECT_TRUE(kv_rows_match(engine, id, dense));
+    }
+  };
+  // Donors: {1, 2, 3} pins one page and keeps row 2 past it;
+  // {5, 6, 7, 8} pins two pages.
+  serve({{1, 2, 3}, {5, 6, 7, 8}});
+  EXPECT_EQ(engine.prefix_cache_entries(), 2);
+  // {1, 2, 3, 4} adopts 3 rows: page 0 shared, row 2 from the entry's
+  // copy. {5, 6, 7, 9} adopts 3 rows: page 0 shared, row 2 from the
+  // donor's pinned page 1. {5, 6, 1, 1} adopts one whole page.
+  serve({{1, 2, 3, 4}, {5, 6, 7, 9}, {5, 6, 1, 1}});
+  EXPECT_EQ(engine.stats().prefix_hits, 3);
+  EXPECT_EQ(engine.stats().cow_forks, 2);
+  for (const auto& r : engine.finished()) {
+    EXPECT_EQ(r.gen.tokens, session.generate(std::vector<int>(r.gen.tokens.begin(),
+                                                              r.gen.tokens.end() - 4),
+                                             4)
+                                .tokens);
+  }
+}
+
 TEST(BatchedEngine, PagedPrefixSharingSavesPromptCycles) {
   // The adoption skip is a *cost* win: serving the same prompt twice
   // with sharing on charges the second request fewer prefill cycles
@@ -1531,17 +1618,17 @@ TEST(BatchedEngine, PagedPrefixSharingSavesPromptCycles) {
 
 TEST(BatchedEngine, PagedAccessorsAreModeChecked) {
   // Default options: one page per request spanning the whole context,
-  // and a pool of total_kv_slots full-context KV sets — the byte budget of
+  // and a pool of total_kv_slots full-context KV sets (one request's KV
+  // at full context, as the tenant plan derives it) — the byte budget of
   // the historical whole-request slot pool.
   const auto cfg = small_llama();
   const InferenceSession session(cfg, 4);
   BatchedEngine engine(registry_of(session), {.total_kv_slots = 2});
   EXPECT_EQ(engine.page_tokens(0), cfg.ar_context);
   EXPECT_EQ(engine.kv_pages().capacity(), 2);
-  const model::KvCachePool sets(
-      1, [&session] { return session.make_chip_caches(session.config().ar_context); });
   EXPECT_EQ(engine.kv_pages().pool_bytes(),
-            2 * sets.set_capacity_packed_bytes(session.kv_elem_bits()));
+            2 * runtime::plan_tenant(registry_of(session).entries()[0], 0).kv_token_bytes *
+                static_cast<Bytes>(cfg.ar_context));
   EXPECT_EQ(engine.prefix_cache_pages(), 0);
   // prefix_sharing is inert at kv_page_tokens == 0: nothing registers.
   BatchedEngine sharing(registry_of(session, 2), {.total_kv_slots = 2,

@@ -12,6 +12,8 @@
 #include "partition/distributed_block.hpp"
 #include "partition/plan.hpp"
 #include "partition/sharder.hpp"
+#include "runtime/deployment_spec.hpp"
+#include "runtime/inference_session.hpp"
 #include "util/rng.hpp"
 
 using namespace distmcu;
@@ -219,4 +221,83 @@ TEST(DistributedBlockTest, SixtyFourChipScaledModel) {
   const Tensor x = random_input(cfg.prompt_len, cfg.embed_dim, 23);
   EXPECT_LE(Tensor::max_abs_diff(ref.block_prompt(x, 0), block.forward(x, 0, nullptr, 0)),
             2 * kTol);
+}
+
+TEST(PagedForward, PageTablesMatchDenseOneGroupForwardsBitForBit) {
+  // A row group naming its KV by page table, its pages scattered in
+  // reverse over a shared row store, gives the dense one-group
+  // forward's outputs and KV rows bit for bit: prompt rows, a chunk at
+  // an offset and decode rows, at page sizes 1, 3, 16 and the whole
+  // context, float and int8 KV, on an even and an uneven head split.
+  TransformerConfig cfg = TransformerConfig::tiny_llama_42m();
+  cfg.embed_dim = 32;
+  cfg.ffn_dim = 64;
+  cfg.num_heads = 4;
+  cfg.head_dim = 8;
+  cfg.num_layers = 2;
+  cfg.vocab_size = 64;
+  cfg.ar_context = 24;
+  cfg.prompt_len = 8;
+  cfg.validate();
+  struct Step {
+    int rows;
+    int pos;
+  };
+  constexpr Step kSteps[] = {{5, 0}, {3, 5}, {1, 8}, {1, 9}};
+  constexpr int kRows = 10;
+  for (const bool int8 : {false, true}) {
+    for (const int chips : {2, 3}) {
+      runtime::DeploymentSpec spec;
+      spec.model = cfg;
+      spec.chips = chips;
+      if (int8) {
+        spec.precision = runtime::Precision::int8;
+        spec.kv_layout = runtime::KvLayout::int8;
+      }
+      const runtime::InferenceSession s(spec);
+      const std::vector<std::size_t> offsets = s.block_executor().kv_row_offsets();
+      for (const int pt : {1, 3, 16, cfg.ar_context}) {
+        SCOPED_TRACE("int8 " + std::to_string(int8) + " chips " + std::to_string(chips) +
+                     " page_tokens " + std::to_string(pt));
+        const int n_pages = (cfg.ar_context + pt - 1) / pt;
+        const std::size_t stride = model::kv_page_floats(offsets, pt);
+        std::vector<float> store(static_cast<std::size_t>(n_pages + 1) * stride, 7.0f);
+        std::vector<int> table;
+        for (int i = n_pages; i >= 1; --i) table.push_back(i);
+        const model::KvPageTable pages{store.data(), stride, pt, table, offsets};
+        auto dense = s.make_chip_caches(cfg.ar_context);
+        util::Rng rng(0x9a6e);
+        partition::ForwardWorkspace ws;
+        for (int l = 0; l < cfg.num_layers; ++l) {
+          for (const Step& st : kSteps) {
+            Tensor x(st.rows, cfg.embed_dim);
+            x.random_init(rng, 1.0f);
+            const Tensor want = s.forward(x, l, &dense, st.pos);
+            Tensor got(st.rows, cfg.embed_dim);
+            const partition::RowGroup group{nullptr, st.pos, st.rows, pages};
+            s.forward(ws, x.span(), got.span(), {&group, 1}, l);
+            EXPECT_TRUE(std::equal(got.span().begin(), got.span().end(), want.span().begin()))
+                << "layer " << l << " rows at " << st.pos;
+          }
+        }
+        for (int c = 0; c < chips; ++c) {
+          for (int l = 0; l < cfg.num_layers; ++l) {
+            const auto cu = static_cast<std::size_t>(c);
+            const auto lu = static_cast<std::size_t>(l);
+            const model::KvPageView kv = pages.slice(cu * dense[cu].size() + lu);
+            const model::KvCache& d = dense[cu][lu];
+            ASSERT_EQ(d.length(), kRows);
+            ASSERT_EQ(kv.width, d.dim());
+            for (int p = 0; p < kRows; ++p) {
+              const auto w = static_cast<std::size_t>(kv.width);
+              const auto at = static_cast<std::size_t>(p) * w;
+              EXPECT_TRUE(std::equal(kv.k_row(p), kv.k_row(p) + w, d.k().begin() + at) &&
+                          std::equal(kv.v_row(p), kv.v_row(p) + w, d.v().begin() + at))
+                  << "chip " << c << " layer " << l << " position " << p;
+            }
+          }
+        }
+      }
+    }
+  }
 }

@@ -68,31 +68,39 @@ DeploymentSpec spec(int layers, int chips, bool int8 = false) {
   return s;
 }
 
-/// Allocations of a warmed forward (a chunk group plus a decode group)
-/// and of a warmed forward_tokens over the same two requests.
+/// Allocations of a warmed paged forward (a chunk group plus a decode
+/// group, each behind its page table in one row store) and of a warmed
+/// forward_tokens over the same two requests. Later forwards reach more
+/// pages than the warm-up did.
 void expect_warmed_forwards_allocate_nothing(bool int8) {
   const InferenceSession session(spec(2, 4, int8));
   const int e = session.config().embed_dim;
-  auto caches_a = session.make_chip_caches(session.config().ar_context);
-  auto caches_b = session.make_chip_caches(session.config().ar_context);
+  constexpr int kPageTokens = 4;
+  const std::vector<std::size_t> offsets = session.block_executor().kv_row_offsets();
+  const std::size_t stride = model::kv_page_floats(offsets, kPageTokens);
+  std::vector<float> store(6 * stride);
+  const std::vector<int> pages_a = {0, 2, 4, 5};
+  const std::vector<int> pages_b = {3};
+  const model::KvPageTable a{store.data(), stride, kPageTokens, pages_a, offsets};
+  const model::KvPageTable b{store.data(), stride, kPageTokens, pages_b, offsets};
   util::Rng rng(7);
   std::vector<float> x(static_cast<std::size_t>(5 * e)), out(x.size());
   for (float& v : x) v = rng.uniform(-1.0f, 1.0f);
   ForwardWorkspace ws;
   // A chunk of 4 rows for one request and a decode row for another.
-  const RowGroup groups[] = {{&caches_a, 0, 4}, {&caches_b, 0, 1}};
+  const RowGroup groups[] = {{nullptr, 0, 4, a}, {nullptr, 0, 1, b}};
   session.forward(ws, x, out, groups, 0);  // warm-up: the workspace grows
 
-  const RowGroup next[] = {{&caches_a, 4, 4}, {&caches_b, 1, 1}};
+  const RowGroup next[] = {{nullptr, 4, 4, a}, {nullptr, 1, 1, b}};
   const std::uint64_t before = g_allocs;
   session.forward(ws, x, out, next, 0);
   EXPECT_EQ(g_allocs - before, 0u);
 
   // The whole-stack path (embedding, every layer) too.
   const std::vector<int> ids = {1, 2, 3, 4, 5};
-  const RowGroup third[] = {{&caches_a, 8, 4}, {&caches_b, 2, 1}};
+  const RowGroup third[] = {{nullptr, 8, 4, a}, {nullptr, 2, 1, b}};
   (void)session.forward_tokens(ws, ids, third);
-  const RowGroup fourth[] = {{&caches_a, 12, 4}, {&caches_b, 3, 1}};
+  const RowGroup fourth[] = {{nullptr, 12, 4, a}, {nullptr, 3, 1, b}};
   const std::uint64_t before_stack = g_allocs;
   (void)session.forward_tokens(ws, ids, fourth);
   EXPECT_EQ(g_allocs - before_stack, 0u);

@@ -384,3 +384,85 @@ TEST(Attention, PosOffsetExtendsVisibility) {
   k::attention_head(q, kmat, vmat, out, 1, 2, p, /*causal=*/true, /*pos_offset=*/1);
   EXPECT_GT(out[0], 5.0f);
 }
+
+TEST(Attention, SegmentedKvMatchesOneSegmentBitForBit) {
+  // K/V split into row segments, each in its own buffer with a wider
+  // row stride (one head of a paged KV cache), give the one-segment
+  // kernel's bits: prompt and decode queries, causal with offsets and
+  // bidirectional, over every split shape a page table produces.
+  constexpr int kP = 8;
+  constexpr int kLd = 3 * kP;  // the head sits at column kP of wider rows
+  constexpr int kKv = 64;
+  util::Rng rng(0x5e9);
+  std::vector<float> kmat(kKv * kP), vmat(kKv * kP);
+  for (float& x : kmat) x = rng.uniform(-1.0f, 1.0f);
+  for (float& x : vmat) x = rng.uniform(-1.0f, 1.0f);
+  const std::vector<std::vector<int>> splits = {
+      {64}, {16, 16, 16, 16}, {5, 17, 1, 41}, {63, 1}, std::vector<int>(kKv, 1)};
+  struct Query {
+    int rows;
+    bool causal;
+    int pos_offset;
+  };
+  for (const Query qs : {Query{8, true, kKv - 8}, Query{8, true, 20}, Query{1, true, kKv - 1},
+                         Query{1, false, 0}, Query{8, false, 0}}) {
+    std::vector<float> q(static_cast<std::size_t>(qs.rows) * kP);
+    for (float& x : q) x = rng.uniform(-1.0f, 1.0f);
+    const k::ConstView qv(q, qs.rows, kP);
+    std::vector<float> scores(static_cast<std::size_t>(qs.rows) * kKv);
+    std::vector<float> want(q.size());
+    const k::ConstView whole_k(kmat, kKv, kP);
+    const k::ConstView whole_v(vmat, kKv, kP);
+    k::attention_head(qv, {&whole_k, 1}, {&whole_v, 1}, k::View(want, qs.rows, kP), qs.causal,
+                      qs.pos_offset, scores);
+    for (const auto& split : splits) {
+      std::vector<std::vector<float>> pages;
+      std::vector<k::ConstView> ks, vs;
+      int row = 0;
+      for (const int n : split) {
+        std::vector<float>& page = pages.emplace_back(2 * static_cast<std::size_t>(n) * kLd);
+        for (int r = 0; r < n; ++r) {
+          std::memcpy(&page[static_cast<std::size_t>(r) * kLd + kP], &kmat[(row + r) * kP],
+                      kP * sizeof(float));
+          std::memcpy(&page[static_cast<std::size_t>(n + r) * kLd + kP], &vmat[(row + r) * kP],
+                      kP * sizeof(float));
+        }
+        row += n;
+      }
+      for (std::size_t i = 0; i < split.size(); ++i) {
+        const float* page = pages[i].data();
+        ks.emplace_back(page + kP, split[i], kP, kLd);
+        vs.emplace_back(page + static_cast<std::size_t>(split[i]) * kLd + kP, split[i], kP, kLd);
+      }
+      std::vector<float> got(q.size(), -1.0f);
+      k::attention_head(qv, ks, vs, k::View(got, qs.rows, kP), qs.causal, qs.pos_offset,
+                        scores);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+          << "rows " << qs.rows << " offset " << qs.pos_offset << " segments " << split.size();
+    }
+  }
+}
+
+TEST(Gemm, AccumulateContinuesTheSumBitForBit) {
+  // gemm over the first K range and gemm_acc over the rest give gemm's
+  // bits over the whole K, on every blocking path.
+  util::Rng rng(0xacc);
+  for (const int n : {4, 16, 24, 200}) {
+    for (const int m : {1, 2, 3, 5}) {
+      constexpr int kK = 37;
+      std::vector<float> a(static_cast<std::size_t>(m) * kK), b(kK * static_cast<std::size_t>(n));
+      for (float& x : a) x = rng.next_below(4) == 0 ? 0.0f : rng.uniform(-1.0f, 1.0f);
+      for (float& x : b) x = rng.uniform(-1.0f, 1.0f);
+      std::vector<float> want(static_cast<std::size_t>(m) * n), got(want.size());
+      const k::ConstView av(a, m, kK);
+      const k::ConstView bv(b, kK, n);
+      k::gemm(av, bv, k::View(want, m, n));
+      const k::View gv(got, m, n);
+      k::gemm(av.col_range(0, 10), bv.row_range(0, 10), gv);
+      k::gemm_acc(av.col_range(10, 11), bv.row_range(10, 11), gv);
+      k::gemm_acc(av.col_range(11, kK), bv.row_range(11, kK), gv);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+          << "m " << m << " n " << n;
+    }
+  }
+}

@@ -18,12 +18,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "dense_kv.hpp"
 #include "invariant_env.hpp"
 #include "registry_of.hpp"
 #include "runtime/batched_engine.hpp"
@@ -172,7 +174,9 @@ void decorate_slo(Scenario& sc, std::uint64_t seed) {
 
 /// Run one scenario (mid-serving arrivals included) and return the
 /// completed results; rejected submits simply drop their job id.
-std::vector<RequestResult> run_scenario(Scenario& sc, BatchedEngine& engine) {
+/// `after_step`, when set, runs at every step boundary.
+std::vector<RequestResult> run_scenario(Scenario& sc, BatchedEngine& engine,
+                                        const std::function<void()>& after_step = {}) {
   int step_idx = 0;
   bool work = true;
   for (;;) {
@@ -189,6 +193,7 @@ std::vector<RequestResult> run_scenario(Scenario& sc, BatchedEngine& engine) {
                     [](const auto& j) { return !j.attempted; });
     work = engine.step();
     ++step_idx;
+    if (after_step) after_step();
     if (!work && !pending_arrivals && !submitted_any) break;
     if (step_idx > 500) {
       ADD_FAILURE() << "scenario did not drain";
@@ -892,4 +897,70 @@ TEST(ServingInvariants, PagedPreemptionConservesPagesUnderEveryPolicy) {
     }
     repro.end(seed);
   }
+}
+
+TEST(ServingInvariants, PagedKvRowsMatchDedicatedRunsUnderPreemptionAndSharing) {
+  // Token streams on seeded weights tend to repeat one token, so they
+  // cannot catch a wrong page mapping. Under prefix sharing and
+  // preemption, every accepted request's KV rows — read through its page
+  // table at every step boundary — equal a dedicated dense run's bit for
+  // bit: adopted and forked rows, checkpointed rows written back at
+  // resume, and shared pages taken back from the registry.
+  const std::uint64_t kSeeds = invariant_seed_count(15);
+  SeedReproLog repro(
+      "./test_serving_invariants",
+      "ServingInvariants.PagedKvRowsMatchDedicatedRunsUnderPreemptionAndSharing");
+  int preemptions = 0;
+  int prefix_hits = 0;
+  int cow_forks = 0;
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    repro.begin();
+    Scenario sc = make_scenario(seed);
+    const auto& dep = deployments()[static_cast<std::size_t>(sc.deployment)];
+    if (dep.cheap_numerics) {
+      // Prompts sharing the first job's prefix, chunked prefill, small
+      // pages, and just the pages the longest sequence needs, so
+      // adoption, forks and evictions all happen.
+      const int plen = dep.session->config().prompt_len;
+      sc.jobs[0].prompt.resize(static_cast<std::size_t>(plen), 1);
+      for (std::size_t j = 1; j < sc.jobs.size(); ++j) {
+        auto& prompt = sc.jobs[j].prompt;
+        const std::size_t keep = std::min(prompt.size(), sc.jobs[0].prompt.size() - 1);
+        std::copy(sc.jobs[0].prompt.begin(),
+                  sc.jobs[0].prompt.begin() + static_cast<std::ptrdiff_t>(keep), prompt.begin());
+      }
+      sc.chunk = std::max(sc.chunk, 1);
+      decorate_slo(sc, seed);
+      sc.opts.kv_page_tokens = 1 + static_cast<int>(seed % 3);
+      sc.opts.prefix_sharing = true;
+      sc.opts.total_kv_slots = 0;
+      for (const auto& job : sc.jobs) {
+        sc.opts.total_kv_slots =
+            std::max(sc.opts.total_kv_slots,
+                     runtime::sequence_pages(sc.opts.kv_page_tokens,
+                                             static_cast<int>(job.prompt.size()), job.new_tokens));
+      }
+      sc.opts.scheduler = runtime::make_scheduler(SchedulePolicy::edf);
+      sc.opts.preemption = std::make_shared<runtime::DeadlineAwarePreemption>();
+      std::vector<distmcu::testing::DenseKv> dense;
+      for (const auto& job : sc.jobs) {
+        dense.push_back(distmcu::testing::dedicated_kv(*dep.session, job.prompt, job.new_tokens));
+      }
+      BatchedEngine engine(registry_of(*dep.session, sc.chunk), sc.opts);
+      (void)run_scenario(sc, engine, [&] {
+        for (std::size_t j = 0; j < sc.jobs.size(); ++j) {
+          if (!sc.jobs[j].id.has_value()) continue;
+          EXPECT_TRUE(distmcu::testing::kv_rows_match(engine, *sc.jobs[j].id, dense[j]))
+              << "seed " << seed;
+        }
+      });
+      preemptions += engine.stats().preemptions;
+      prefix_hits += engine.stats().prefix_hits;
+      cow_forks += engine.stats().cow_forks;
+    }
+    repro.end(seed);
+  }
+  EXPECT_GT(preemptions, 0);
+  EXPECT_GT(prefix_hits, 0);
+  EXPECT_GT(cow_forks, 0);
 }
